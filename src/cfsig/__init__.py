@@ -11,6 +11,7 @@ from .cfg import (
     Mutation,
     MutationKind,
     generate_synthetic,
+    load_graph,
     mutate,
     parse_dot,
     parse_graphml,
@@ -46,7 +47,6 @@ from .replica import (
     ConsensusRound,
     ReplicaNode,
     Scenario,
-    SignatureEnvelope,
     Verdict,
     VoteMessage,
     parse_scenario_file,
@@ -69,7 +69,6 @@ __all__ = [
     "ProcessSignature",
     "ReplicaNode",
     "Scenario",
-    "SignatureEnvelope",
     "Verdict",
     "VoteMessage",
     "build_signature",
@@ -80,6 +79,7 @@ __all__ = [
     "find_arborescence",
     "generate_synthetic",
     "hash_canonical",
+    "load_graph",
     "match_cost",
     "match_signatures",
     "max_edge_disjoint_packing",

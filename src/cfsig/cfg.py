@@ -12,8 +12,10 @@ import enum
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import (
+    CfsigError,
     DuplicateEdgeError,
     GraphSyntaxError,
     InvalidMutationError,
@@ -76,7 +78,7 @@ class ControlFlowGraph:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # UnreachableNode | SelfLoop | DanglingEndpoint
+    kind: str  # UnreachableNode | SelfLoop
     subject: str
 
     def __str__(self) -> str:
@@ -93,13 +95,15 @@ class ValidationReport:
 
 
 def validate_cfg(g: ControlFlowGraph) -> ValidationReport:
-    """Check reachability from entry, absence of self-loops, and endpoints."""
+    """Check reachability from entry and absence of self-loops.
+
+    Dangling endpoints need no check: the ControlFlowGraph constructor
+    already rejects them.
+    """
     violations: list[Violation] = []
     for src, dst in sorted(g.edges):
         if src == dst:
             violations.append(Violation("SelfLoop", src))
-        if src not in g.nodes or dst not in g.nodes:
-            violations.append(Violation("DanglingEndpoint", f"{src}>{dst}"))
     reachable = g.reachable_from_entry()
     for node in sorted(g.nodes - reachable):
         violations.append(Violation("UnreachableNode", node))
@@ -111,6 +115,29 @@ def prune_unreachable(g: ControlFlowGraph) -> ControlFlowGraph:
     keep = g.reachable_from_entry()
     edges = frozenset(e for e in g.edges if e[0] in keep and e[1] in keep)
     return ControlFlowGraph(keep, edges, g.entry)
+
+
+def load_graph(path: str | Path, prune: bool = False) -> ControlFlowGraph:
+    """Read a ``.dot`` or ``.graphml`` file and return it as a valid CFG.
+
+    With *prune*, a graph whose only violations are unreachable blocks comes
+    back without them. Raises OSError when the file cannot be read and
+    CfsigError for any other suffix, a parse error or an invalid graph.
+    """
+    path = Path(path)
+    if path.suffix == ".dot":
+        parse = parse_dot
+    elif path.suffix == ".graphml":
+        parse = parse_graphml
+    else:
+        raise CfsigError(f"unsupported input extension {path.suffix!r}")
+    graph = parse(path.read_text())
+    report = validate_cfg(graph)
+    if not report.ok:
+        if prune and all(v.kind == "UnreachableNode" for v in report.violations):
+            return prune_unreachable(graph)
+        raise CfsigError("invalid CFG: " + ", ".join(str(v) for v in report.violations))
+    return graph
 
 
 def _resolve_entry(

@@ -18,7 +18,7 @@ from .arborescence import (
     max_edge_disjoint_packing,
     peel_edge_disjoint,
 )
-from .errors import CfsigError, MalformedPlaintextError, ScenarioError, TooLargeError
+from .errors import CfsigError, MalformedPlaintextError, ScenarioError
 from .matcher import Outcome, match_signatures
 from .replica import ClusterConfig, Scenario, parse_scenario_file, run_cluster_scenario
 from .signature import (
@@ -39,28 +39,10 @@ EXIT_SCENARIO = 4
 EXIT_EMPTY_CORPUS = 5
 
 
-def _load_graph(path: Path, prune: bool = False) -> cfg_mod.ControlFlowGraph:
-    text = path.read_text()
-    if path.suffix == ".graphml":
-        graph = cfg_mod.parse_graphml(text)
-    elif path.suffix == ".dot":
-        graph = cfg_mod.parse_dot(text)
-    else:
-        raise CfsigError(f"unsupported input extension {path.suffix!r}")
-    report = cfg_mod.validate_cfg(graph)
-    if not report.ok:
-        if prune and all(v.kind == "UnreachableNode" for v in report.violations):
-            return cfg_mod.prune_unreachable(graph)
-        raise CfsigError(
-            "invalid CFG: " + ", ".join(str(v) for v in report.violations)
-        )
-    return graph
-
-
 def cmd_sign(args) -> int:
     path = Path(args.input)
     try:
-        graph = _load_graph(path, prune=args.prune_unreachable)
+        graph = cfg_mod.load_graph(path, prune=args.prune_unreachable)
     except (CfsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -102,10 +84,8 @@ def cmd_simulate(args) -> int:
 
 
 def _bench_fixture(path: Path, algorithm: HashAlgorithm, cipher: Cipher, key: int) -> dict:
-    text = path.read_text()
     t = time.perf_counter()
-    graph = cfg_mod.parse_graphml(text) if path.suffix == ".graphml" else cfg_mod.parse_dot(text)
-    cfg_mod.validate_cfg(graph)
+    graph = cfg_mod.load_graph(path)
     arbs = peel_edge_disjoint(graph)
     cfg_to_msa_s = time.perf_counter() - t
 
@@ -120,7 +100,7 @@ def _bench_fixture(path: Path, algorithm: HashAlgorithm, cipher: Cipher, key: in
 
     config = ClusterConfig(n=3, algorithm=algorithm, cipher=cipher, key=key)
     result = run_cluster_scenario(config, Scenario(path.stem, graph))
-    consensus_s = result.phase_seconds["votes"] + result.phase_seconds["tally"]
+    consensus_s = result.phase_seconds["vote"] + result.phase_seconds["tally"]
 
     profiling_s = cfg_to_msa_s + hashing_s
     return {
@@ -149,12 +129,15 @@ CSV_COLUMNS = [
 
 def _read_reference_times(path: Path) -> dict[str, float]:
     refs: dict[str, float] = {}
-    for raw in path.read_text().splitlines():
+    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         label, _, value = line.partition("=")
-        refs[label.strip()] = float(value)
+        try:
+            refs[label.strip()] = float(value)
+        except ValueError:
+            raise CfsigError(f"{path}:{lineno}: bad reference time {value.strip()!r}") from None
     return refs
 
 
@@ -166,7 +149,11 @@ def cmd_bench(args) -> int:
     if not fixtures:
         print(f"error: no .dot/.graphml fixtures in {corpus}", file=sys.stderr)
         return EXIT_EMPTY_CORPUS
-    refs = _read_reference_times(Path(args.reference)) if args.reference else {}
+    try:
+        refs = _read_reference_times(Path(args.reference)) if args.reference else {}
+    except (CfsigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     algorithm = HashAlgorithm(args.alg.upper())
     cipher = Cipher(args.cipher)
@@ -221,12 +208,9 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
-        graph = _load_graph(Path(args.input))
+        graph = cfg_mod.load_graph(args.input)
         enumerated = enumerate_all_arborescences(graph)
         packing = max_edge_disjoint_packing(graph)
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (CfsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -5,20 +5,26 @@ signature to all peers, matches what it receives against its local version,
 and shares its votes. A tampered replica is isolated when a strict majority
 of participating nodes vote Mismatch against it.
 
-The round runs as four synchronous phases with barriers in between, so the
-in-process transcript is a deterministic function of (config, scenario)
+One phase engine runs the round's four phases (profile, signature, vote,
+tally): it runs a per-node action on the live nodes, sends every frame an
+action returned to every peer in (sender, receiver) order, logs each frame
+and waits for delivery before the next phase starts. The barriers between
+phases make the transcript a deterministic function of (config, scenario)
 regardless of whether node work runs sequentially or on threads.
 """
 
 from __future__ import annotations
 
+import socket
 import struct
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cfg import ControlFlowGraph, Mutation, mutate, parse_dot, parse_graphml, serialize_dot, validate_cfg
+# parse_graphml is unused here, but perfbench's traced run patches replica.parse_graphml.
+from .cfg import ControlFlowGraph, Mutation, load_graph, mutate, parse_dot, parse_graphml, serialize_dot, validate_cfg
 from .arborescence import peel_edge_disjoint
 from .errors import CfsigError, MalformedPlaintextError, ScenarioError, TransportError
 from .matcher import Outcome, match_signatures
@@ -39,6 +45,10 @@ MSG_ENVELOPE = 1
 MSG_VOTE = 2
 NO_SUBJECT = 0xFFFF
 _HEADER = struct.Struct("!4sBHHI")
+
+# Bounds both connecting to a peer and reading a frame from one, so a peer
+# that connects and stays silent cannot block a receiver forever.
+SOCKET_TIMEOUT_S = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +107,6 @@ def envelope_from_frame(frame: Frame) -> EncryptedSignature:
 
 
 @dataclass(frozen=True)
-class SignatureEnvelope:
-    sender: NodeId
-    process_label: str
-    payload: EncryptedSignature
-
-
-@dataclass(frozen=True)
 class VoteMessage:
     sender: NodeId
     subject: NodeId
@@ -131,14 +134,6 @@ class ConsensusRound:
     local_digests: dict[NodeId, tuple[str, ...] | None]
     votes: tuple[VoteMessage, ...]
     verdict: Verdict
-
-
-@dataclass(frozen=True)
-class PhaseTimings:
-    parse_s: float
-    extract_s: float
-    hash_s: float
-    total_s: float
 
 
 @dataclass(frozen=True)
@@ -194,78 +189,49 @@ class ReplicaNode:
         self.id = node_id
         self.config = config
         self.signatures: dict[str, ProcessSignature] = {}
-        self.timings: dict[str, PhaseTimings] = {}
         self.profiling_failed: dict[str, str] = {}
         self.decrypt_failures: list[tuple[NodeId, str]] = []
-        self.own_votes: list[VoteMessage] = []
-        self.received_votes: list[VoteMessage] = []
+        self.votes: list[VoteMessage] = []  # cast by this node and received from peers
 
-    def run_profiling(self, process_label: str, cfg_text: str, fmt: str = "dot") -> ProcessSignature | None:
-        """Parse, validate, peel, and hash; cache the signature per process."""
-        t0 = time.perf_counter()
+    def run_profiling(self, process_label: str, cfg_text: str) -> ProcessSignature | None:
+        """Parse DOT, validate, peel, and hash; cache the signature per process."""
         try:
-            t = time.perf_counter()
-            graph = parse_dot(cfg_text) if fmt == "dot" else parse_graphml(cfg_text)
+            graph = parse_dot(cfg_text)
             report = validate_cfg(graph)
             if not report.ok:
                 raise CfsigError(
                     "invalid CFG: " + ", ".join(str(v) for v in report.violations)
                 )
-            parse_s = time.perf_counter() - t
-            t = time.perf_counter()
-            arbs = peel_edge_disjoint(graph)
-            extract_s = time.perf_counter() - t
-            t = time.perf_counter()
-            sig = build_signature(arbs, self.config.algorithm, process_label)
-            hash_s = time.perf_counter() - t
+            sig = build_signature(peel_edge_disjoint(graph), self.config.algorithm, process_label)
         except CfsigError as exc:
             self.profiling_failed[process_label] = str(exc)
             return None
-        self.timings[process_label] = PhaseTimings(
-            parse_s, extract_s, hash_s, time.perf_counter() - t0
-        )
         self.signatures[process_label] = sig
         return sig
 
-    def broadcast_signature(self, process_label: str) -> list[SignatureEnvelope]:
-        """One envelope per peer; empty when profiling failed (abstention)."""
+    def envelope(self, process_label: str) -> bytes | None:
+        """The encoded signature frame this node broadcasts; None when profiling failed."""
         sig = self.signatures.get(process_label)
         if sig is None:
-            return []
+            return None
         enc = encrypt(sig, self.config.cipher, self.config.key)
-        return [
-            SignatureEnvelope(self.id, process_label, enc)
-            for _ in range(self.config.n - 1)
-        ]
+        return envelope_frame(self.id, enc).encode()
 
-    def handle_envelope(self, envelope: SignatureEnvelope) -> VoteMessage:
+    def handle_envelope(
+        self, process_label: str, sender: NodeId, payload: EncryptedSignature
+    ) -> VoteMessage:
         """Decrypt and match a peer signature against the local version."""
         try:
-            remote = decrypt(envelope.payload, self.config.key)
+            remote = decrypt(payload, self.config.key)
         except MalformedPlaintextError as exc:
-            self.decrypt_failures.append((envelope.sender, str(exc)))
-            return VoteMessage(self.id, envelope.sender, Outcome.MISMATCH)
-        label = envelope.process_label or remote.source_label
-        local = self.signatures.get(label)
+            self.decrypt_failures.append((sender, str(exc)))
+            return VoteMessage(self.id, sender, Outcome.MISMATCH)
+        local = self.signatures.get(process_label)
         if local is None:
-            self.decrypt_failures.append((envelope.sender, "no local signature"))
-            return VoteMessage(self.id, envelope.sender, Outcome.MISMATCH)
+            self.decrypt_failures.append((sender, "no local signature"))
+            return VoteMessage(self.id, sender, Outcome.MISMATCH)
         verdict = match_signatures(local, remote)
-        return VoteMessage(self.id, envelope.sender, verdict.outcome)
-
-    def conclude(self, process_label: str, participating: set[NodeId]) -> ConsensusRound:
-        votes = sorted(
-            set(self.own_votes) | set(self.received_votes),
-            key=lambda v: (v.sender, v.subject),
-        )
-        verdict = conclude_round(len(participating), votes)
-        sig = self.signatures.get(process_label)
-        return ConsensusRound(
-            process_label,
-            {self.id: sig.digests if sig else None},
-            tuple(votes),
-            verdict,
-        )
+        return VoteMessage(self.id, sender, verdict.outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -273,77 +239,16 @@ class ReplicaNode:
 # ---------------------------------------------------------------------------
 
 
-class InProcessTransport:
-    """Deterministic per-node FIFO queues; never fails."""
+class Transport:
+    """Per-node inboxes of received frames; subclasses implement ``send``."""
 
     def __init__(self, n: int):
         self._inboxes: dict[NodeId, list[bytes]] = {i: [] for i in range(n)}
         self._lock = threading.Lock()
 
-    def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
+    def _deliver(self, receiver: NodeId, frame_bytes: bytes) -> None:
         with self._lock:
             self._inboxes[receiver].append(frame_bytes)
-
-    def drain(self, receiver: NodeId) -> list[bytes]:
-        with self._lock:
-            out = self._inboxes[receiver]
-            self._inboxes[receiver] = []
-        return out
-
-    def close(self) -> None:
-        pass
-
-
-class SocketTransport:
-    """Loopback TCP transport; one connection per frame, length-framed."""
-
-    def __init__(self, n: int):
-        import socket
-
-        self._socket = socket
-        self._inboxes: dict[NodeId, list[bytes]] = {i: [] for i in range(n)}
-        self._lock = threading.Lock()
-        self._servers = {}
-        self.ports: dict[NodeId, int] = {}
-        self._threads = []
-        self._closing = False
-        for i in range(n):
-            srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            srv.bind(("127.0.0.1", 0))
-            srv.listen(16)
-            self._servers[i] = srv
-            self.ports[i] = srv.getsockname()[1]
-            th = threading.Thread(target=self._serve, args=(i, srv), daemon=True)
-            th.start()
-            self._threads.append(th)
-
-    def _serve(self, node: NodeId, srv) -> None:
-        while not self._closing:
-            try:
-                conn, _ = srv.accept()
-            except OSError:
-                return
-            chunks = []
-            while True:
-                data = conn.recv(65536)
-                if not data:
-                    break
-                chunks.append(data)
-            conn.close()
-            frame = b"".join(chunks)
-            if frame:
-                with self._lock:
-                    self._inboxes[node].append(frame)
-
-    def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
-        try:
-            with self._socket.create_connection(
-                ("127.0.0.1", self.ports[receiver]), timeout=2.0
-            ) as conn:
-                conn.sendall(frame_bytes)
-        except OSError as exc:
-            raise TransportError(f"peer {receiver} unreachable: {exc}") from exc
 
     def drain(self, receiver: NodeId) -> list[bytes]:
         with self._lock:
@@ -356,12 +261,66 @@ class SocketTransport:
             return len(self._inboxes[receiver])
 
     def close(self) -> None:
-        self._closing = True
-        for srv in self._servers.values():
+        pass
+
+
+class InProcessTransport(Transport):
+    """Deterministic per-node FIFO queues; never fails."""
+
+    def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
+        self._deliver(receiver, frame_bytes)
+
+
+class SocketTransport(Transport):
+    """Loopback TCP transport; one connection per frame, length-framed."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._servers = []
+        self.ports: dict[NodeId, int] = {}
+        for i in range(n):
+            srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            srv.bind(("127.0.0.1", 0))
+            srv.listen(16)
+            self._servers.append(srv)
+            self.ports[i] = srv.getsockname()[1]
+            threading.Thread(target=self._serve, args=(i, srv), daemon=True).start()
+
+    def _serve(self, node: NodeId, srv) -> None:
+        while True:
             try:
-                srv.close()
+                conn, _ = srv.accept()
+            except OSError:
+                return  # close() shut the listener down
+            chunks = []
+            with conn:
+                conn.settimeout(SOCKET_TIMEOUT_S)
+                try:
+                    while data := conn.recv(65536):
+                        chunks.append(data)
+                except OSError:
+                    continue  # silent or broken peer: drop its partial frame
+            if chunks:
+                self._deliver(node, b"".join(chunks))
+
+    def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", self.ports[receiver]), timeout=SOCKET_TIMEOUT_S
+            ) as conn:
+                conn.sendall(frame_bytes)
+        except OSError as exc:
+            raise TransportError(f"peer {receiver} unreachable: {exc}") from exc
+
+    def close(self) -> None:
+        for srv in self._servers:
+            try:
+                # Closing alone leaves _serve blocked in accept(); shutdown wakes it.
+                srv.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            srv.close()
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +339,10 @@ class Scenario:
 def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
     """Parse the plain-text scenario format (``key=value`` lines).
 
-    Keys: ``n``, ``fixture`` (path relative to the scenario file), optional
-    ``tamper=<node>:<mutation-spec>``, ``alg``, ``cipher``, ``key``,
-    ``dead=<node>``, ``timeout_ms``.
+    Keys: ``n``, ``fixture`` (a ``.dot`` or ``.graphml`` path relative to the
+    scenario file; it must be a valid CFG), optional
+    ``tamper=<node>:<mutation-spec>`` (it must apply to the fixture),
+    ``alg``, ``cipher``, ``key``, ``dead=<node>``, ``timeout_ms``.
     """
     path = Path(path)
     fields: dict[str, str] = {}
@@ -413,16 +373,11 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
 
     fixture_path = path.parent / fixture
     try:
-        fixture_text = fixture_path.read_text()
+        graph = load_graph(fixture_path)
     except OSError as exc:
         raise ScenarioError(f"cannot read fixture {fixture_path}: {exc}") from exc
-    try:
-        if fixture_path.suffix == ".graphml":
-            graph = parse_graphml(fixture_text)
-        else:
-            graph = parse_dot(fixture_text)
     except CfsigError as exc:
-        raise ScenarioError(f"fixture does not parse: {exc}") from exc
+        raise ScenarioError(f"bad fixture {fixture_path}: {exc}") from exc
 
     tamper = None
     if "tamper" in fields:
@@ -432,19 +387,15 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
         try:
             tamper_node = int(node_text)
             mutation = Mutation.parse(mut_text)
+            mutate(graph, mutation)
         except (ValueError, CfsigError) as exc:
             raise ScenarioError(f"bad tamper spec: {exc}") from exc
         if not 0 <= tamper_node < n:
             raise ScenarioError(f"tamper node {tamper_node} out of range for n={n}")
         tamper = (tamper_node, mutation)
 
-    dead = None
-    if "dead" in fields:
-        dead = int(fields["dead"])
-        if not 0 <= dead < n:
-            raise ScenarioError(f"dead node {dead} out of range for n={n}")
-
     try:
+        dead = int(fields["dead"]) if "dead" in fields else None
         config = ClusterConfig(
             n=n,
             algorithm=HashAlgorithm(fields.get("alg", "MD5")),
@@ -454,8 +405,9 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
         )
     except ValueError as exc:
         raise ScenarioError(f"bad scenario value: {exc}") from exc
-    label = fixture_path.stem
-    return config, Scenario(label, graph, tamper, dead)
+    if dead is not None and not 0 <= dead < n:
+        raise ScenarioError(f"dead node {dead} out of range for n={n}")
+    return config, Scenario(fixture_path.stem, graph, tamper, dead)
 
 
 @dataclass
@@ -469,44 +421,6 @@ class RoundResult:
         return "\n".join(self.transcript) + "\n"
 
 
-def _await_delivery(transport, expected: dict[NodeId, int], timeout_s: float) -> None:
-    """Block until socket frames have landed in the receivers' inboxes."""
-    if not isinstance(transport, SocketTransport):
-        return
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if all(transport.pending(r) >= c for r, c in expected.items()):
-            return
-        time.sleep(0.005)
-
-
-def _run_phase(actions: dict[NodeId, object], threaded: bool, timeout_s: float) -> set[NodeId]:
-    """Run one phase; returns the node ids that completed within budget."""
-    done: set[NodeId] = set()
-    if not threaded:
-        for node_id in sorted(actions):
-            actions[node_id]()
-            done.add(node_id)
-        return done
-    threads = {}
-    finished: dict[NodeId, bool] = {}
-
-    def wrap(nid: NodeId):
-        actions[nid]()
-        finished[nid] = True
-
-    for nid in sorted(actions):
-        th = threading.Thread(target=wrap, args=(nid,), daemon=True)
-        threads[nid] = th
-        th.start()
-    deadline = time.monotonic() + timeout_s
-    for nid in sorted(threads):
-        threads[nid].join(max(deadline - time.monotonic(), 0.0))
-        if finished.get(nid):
-            done.add(nid)
-    return done
-
-
 def run_cluster_scenario(
     config: ClusterConfig, scenario: Scenario, threaded: bool = False
 ) -> RoundResult:
@@ -514,21 +428,19 @@ def run_cluster_scenario(
 
     The transcript logs every frame in a deterministic order (sorted by
     sender then receiver per phase), independent of thread scheduling.
+    ``phase_seconds`` has one entry per phase: profile, signature, vote, tally.
     """
     n = config.n
     timeout_s = config.timeout_ms / 1000.0
     label = scenario.process_label
     nodes = [ReplicaNode(i, config) for i in range(n)]
-    transport = (
-        SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
-    )
 
-    inputs: dict[NodeId, str] = {}
+    inputs: list[str] = []
     for i in range(n):
         graph = scenario.graph
         if scenario.tamper is not None and scenario.tamper[0] == i:
             graph = mutate(graph, scenario.tamper[1])
-        inputs[i] = serialize_dot(graph)
+        inputs.append(serialize_dot(graph))
 
     transcript = [
         f"scenario label={label} n={n} alg={config.algorithm.value} "
@@ -536,121 +448,85 @@ def run_cluster_scenario(
     ]
     phase_seconds: dict[str, float] = {}
     live = {i for i in range(n) if i != scenario.dead}
+    transport = (
+        SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
+    )
 
-    def dead_action():
+    def run_phase(name: str, action: Callable[[ReplicaNode], list[tuple[str, bytes]]]) -> None:
+        """Run *action* on the live nodes, then broadcast what each returned and wait.
+
+        An action returns (transcript detail, encoded frame) pairs; each frame
+        goes to every peer. A node that does not finish within the timeout
+        drops out of ``live``; delivery waits at most one timeout too.
+        """
+        t0 = time.perf_counter()
+        outboxes: dict[NodeId, list[tuple[str, bytes]]] = {}
+
+        def act(node: ReplicaNode) -> None:
+            if node.id in live:
+                outboxes[node.id] = action(node)
+            elif threaded:
+                time.sleep(timeout_s * 10)  # a silent node never completes the phase
+
         if threaded:
-            time.sleep(timeout_s * 10)  # silent node: never completes the phase
-
-    # Phase 1: profiling
-    t0 = time.perf_counter()
-    actions = {
-        i: (dead_action if i not in live else
-            (lambda node=nodes[i], text=inputs[i]: node.run_profiling(label, text)))
-        for i in range(n)
-    }
-    live &= _run_phase(actions, threaded, timeout_s)
-    phase_seconds["profile"] = time.perf_counter() - t0
-    for i in range(n):
-        if i not in live:
-            transcript.append(f"profile node={i} status=silent")
-        elif label in nodes[i].profiling_failed:
-            transcript.append(f"profile node={i} status=failed")
+            threads = [threading.Thread(target=act, args=(node,), daemon=True) for node in nodes]
+            for th in threads:
+                th.start()
+            deadline = time.monotonic() + timeout_s
+            for th in threads:
+                th.join(max(deadline - time.monotonic(), 0.0))
         else:
-            transcript.append(
-                f"profile node={i} status=ok digests={len(nodes[i].signatures[label].digests)}"
-            )
+            for node in nodes:
+                act(node)
+        live.intersection_update(list(outboxes))
+        delivered: dict[NodeId, int] = {}
+        for sender in sorted(live):
+            for receiver in range(n):
+                if receiver == sender:
+                    continue
+                for detail, frame_bytes in outboxes.get(sender, ()):
+                    line = f"frame phase={name} from={sender} to={receiver}"
+                    try:
+                        transport.send(receiver, frame_bytes)
+                    except TransportError as exc:
+                        transcript.append(f"{line} error={exc}")
+                        continue
+                    delivered[receiver] = delivered.get(receiver, 0) + 1
+                    transcript.append(f"{line} {detail}hex={frame_bytes.hex()}")
+        deadline = time.monotonic() + timeout_s
+        while any(transport.pending(r) < c for r, c in delivered.items()):
+            if time.monotonic() >= deadline:
+                break
+            time.sleep(0.005)
+        phase_seconds[name] = time.perf_counter() - t0
 
-    # Phase 2: broadcast encrypted signatures (full mesh)
-    t0 = time.perf_counter()
-    envelope_frames: dict[NodeId, bytes] = {}
+    def profile(node: ReplicaNode):
+        node.run_profiling(label, inputs[node.id])
+        return []
 
-    def make_envelope(node: ReplicaNode):
-        envs = node.broadcast_signature(label)
-        if envs:
-            envelope_frames[node.id] = envelope_frame(node.id, envs[0].payload).encode()
+    def signature(node: ReplicaNode):
+        frame_bytes = node.envelope(label)
+        return [] if frame_bytes is None else [("", frame_bytes)]
 
-    actions = {
-        i: (dead_action if i not in live else (lambda node=nodes[i]: make_envelope(node)))
-        for i in range(n)
-    }
-    live &= _run_phase(actions, threaded, timeout_s)
-    sends: list[tuple[NodeId, NodeId, bytes]] = []
-    for sender in sorted(envelope_frames):
-        if sender not in live:
-            continue
-        for receiver in range(n):
-            if receiver != sender:
-                sends.append((sender, receiver, envelope_frames[sender]))
-    delivered: dict[NodeId, int] = {}
-    for sender, receiver, frame_bytes in sends:
-        try:
-            transport.send(receiver, frame_bytes)
-            delivered[receiver] = delivered.get(receiver, 0) + 1
-            transcript.append(
-                f"frame phase=signature from={sender} to={receiver} hex={frame_bytes.hex()}"
-            )
-        except TransportError as exc:
-            transcript.append(
-                f"frame phase=signature from={sender} to={receiver} error={exc}"
-            )
-    _await_delivery(transport, delivered, timeout_s)
-    phase_seconds["broadcast"] = time.perf_counter() - t0
-
-    # Phase 3: match received signatures and broadcast votes
-    t0 = time.perf_counter()
-    votes_by_node: dict[NodeId, list[VoteMessage]] = {}
-
-    def match_and_vote(node: ReplicaNode):
+    def vote(node: ReplicaNode):
         frames = sorted(
             (decode_frame(b) for b in transport.drain(node.id)),
             key=lambda f: f.sender,
         )
         if label not in node.signatures:
-            votes_by_node[node.id] = []  # profiling failed: abstain from voting
-            return
-        votes = []
-        for frame in frames:
-            if frame.msg_type != MSG_ENVELOPE:
-                continue
-            env = SignatureEnvelope(frame.sender, label, envelope_from_frame(frame))
-            votes.append(node.handle_envelope(env))
-        node.own_votes.extend(votes)
-        votes_by_node[node.id] = votes
+            return []  # profiling failed: abstain from voting
+        votes = [
+            node.handle_envelope(label, frame.sender, envelope_from_frame(frame))
+            for frame in frames
+            if frame.msg_type == MSG_ENVELOPE
+        ]
+        node.votes.extend(votes)
+        return [
+            (f"subject={v.subject} verdict={v.verdict.value} ",
+             vote_frame(v.sender, v.subject, v.verdict).encode())
+            for v in votes
+        ]
 
-    actions = {
-        i: (dead_action if i not in live else (lambda node=nodes[i]: match_and_vote(node)))
-        for i in range(n)
-    }
-    live &= _run_phase(actions, threaded, timeout_s)
-    vote_sends: list[tuple[NodeId, NodeId, VoteMessage]] = []
-    for sender in sorted(votes_by_node):
-        if sender not in live:
-            continue
-        for vote in sorted(votes_by_node[sender], key=lambda v: v.subject):
-            for receiver in range(n):
-                if receiver != sender:
-                    vote_sends.append((sender, receiver, vote))
-    vote_sends.sort(key=lambda t: (t[0], t[1], t[2].subject))
-    delivered = {}
-    for sender, receiver, vote in vote_sends:
-        frame_bytes = vote_frame(sender, vote.subject, vote.verdict).encode()
-        try:
-            transport.send(receiver, frame_bytes)
-            delivered[receiver] = delivered.get(receiver, 0) + 1
-            transcript.append(
-                f"frame phase=vote from={sender} to={receiver} "
-                f"subject={vote.subject} verdict={vote.verdict.value} hex={frame_bytes.hex()}"
-            )
-        except TransportError as exc:
-            transcript.append(f"frame phase=vote from={sender} to={receiver} error={exc}")
-    _await_delivery(transport, delivered, timeout_s)
-    phase_seconds["votes"] = time.perf_counter() - t0
-
-    # Phase 4: tally
-    t0 = time.perf_counter()
-    participating = {
-        i for i in live if label in nodes[i].signatures
-    }
     rounds: dict[NodeId, ConsensusRound] = {}
 
     def tally(node: ReplicaNode):
@@ -659,24 +535,34 @@ def run_cluster_scenario(
             if frame.msg_type != MSG_VOTE or frame.subject is None:
                 continue
             outcome = Outcome.MATCH if frame.payload[0] == 0 else Outcome.MISMATCH
-            node.received_votes.append(VoteMessage(frame.sender, frame.subject, outcome))
-        rounds[node.id] = node.conclude(label, participating)
+            node.votes.append(VoteMessage(frame.sender, frame.subject, outcome))
+        votes = sorted(set(node.votes), key=lambda v: (v.sender, v.subject))
+        verdict = conclude_round(len(participating), votes)
+        rounds[node.id] = ConsensusRound(label, local_digests, tuple(votes), verdict)
+        return []
 
-    actions = {
-        i: (dead_action if i not in live else (lambda node=nodes[i]: tally(node)))
-        for i in range(n)
-    }
-    live &= _run_phase(actions, threaded, timeout_s)
-    phase_seconds["tally"] = time.perf_counter() - t0
-    transport.close()
+    try:
+        run_phase("profile", profile)
+        local_digests: dict[NodeId, tuple[str, ...] | None] = {}
+        for node in nodes:
+            sig = node.signatures.get(label)
+            local_digests[node.id] = sig.digests if sig else None
+            if node.id not in live:
+                status = "silent"
+            elif sig is None:
+                status = "failed"
+            else:
+                status = f"ok digests={len(sig.digests)}"
+            transcript.append(f"profile node={node.id} status={status}")
+        run_phase("signature", signature)
+        run_phase("vote", vote)
+        participating = {i for i in live if local_digests[i] is not None}
+        run_phase("tally", tally)
+    finally:
+        transport.close()
 
     if not live or not rounds:
         raise ScenarioError("no replica completed the round within the timeout")
     primary = rounds[min(rounds)]
-    merged_digests = {
-        i: (nodes[i].signatures[label].digests if label in nodes[i].signatures else None)
-        for i in range(n)
-    }
-    primary = ConsensusRound(label, merged_digests, primary.votes, primary.verdict)
     transcript.append(f"verdict {primary.verdict}")
     return RoundResult(primary, transcript, phase_seconds, rounds)

@@ -9,6 +9,9 @@ from cfsig import parse_dot
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# Parses, but block B3 cannot be reached from the entry.
+UNREACHABLE_DOT = "digraph g {\n  B1 [entry=true];\n  B2;\n  B3;\n  B1 -> B2;\n}\n"
+
 
 @pytest.fixture
 def fixtures_dir() -> Path:

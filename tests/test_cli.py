@@ -6,6 +6,8 @@ import pytest
 
 from cfsig.cli import main
 
+from .conftest import UNREACHABLE_DOT
+
 
 @pytest.fixture
 def corpus(tmp_path, fixtures_dir):
@@ -101,6 +103,23 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", str(scn))
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n=3\nfixture=diamond.dot\ndead=x\n",
+            "n=3\nfixture=diamond.dot\ntamper=1:RemoveEdge:B4>B1\n",
+            "n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n",
+            "n=3\nfixture=unreachable.dot\n",
+        ],
+    )
+    def test_bad_scenario_value_exit_4(self, capsys, corpus, text):
+        (corpus / "unreachable.dot").write_text(UNREACHABLE_DOT)
+        scn = corpus / "bad.scn"
+        scn.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert code == 4
+        assert out == "" and err.startswith("error: ")
+
 
 class TestBench:
     def test_report_shape(self, capsys, tmp_path, fixtures_dir):
@@ -132,6 +151,19 @@ class TestBench:
                     total / float(row["reference_exec_s"]) * 100, abs=0.05
                 )
         assert rows[0]["reference_exec_s"] == ""  # labels sorted; aggregate* first
+
+    def test_non_numeric_reference_exit_1(self, capsys, tmp_path, fixtures_dir):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("# seconds\nwordmean=6.988\nwordcount=abc\n")
+        code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--reference", str(refs))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {refs}:3: ")
+
+    def test_invalid_fixture_exit_1(self, capsys, tmp_path):
+        (tmp_path / "unreachable.dot").write_text(UNREACHABLE_DOT)
+        code, _, err = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: unreachable.dot: invalid CFG")
 
     def test_empty_corpus_exit_5(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "bench", str(tmp_path))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import socket
+import threading
 import time
 
 import pytest
@@ -18,12 +20,12 @@ from cfsig import (
     peel_edge_disjoint,
     run_cluster_scenario,
 )
+from cfsig import replica
 from cfsig.errors import ScenarioError, TransportError
 from cfsig.replica import (
     FRAME_MAGIC,
     MSG_ENVELOPE,
     MSG_VOTE,
-    SignatureEnvelope,
     SocketTransport,
     VoteMessage,
     decode_frame,
@@ -32,7 +34,7 @@ from cfsig.replica import (
     vote_frame,
 )
 
-from .conftest import FIXTURES, fixture_graphs
+from .conftest import FIXTURES, UNREACHABLE_DOT, fixture_graphs
 
 
 class TestFraming:
@@ -83,19 +85,7 @@ class TestNode:
         node = ReplicaNode(0, ClusterConfig(n=3))
         assert node.run_profiling("bad", "digraph g { B1 -> ; }") is None
         assert "bad" in node.profiling_failed
-        assert node.broadcast_signature("bad") == []
-
-    def test_timing_phases(self, fixtures_dir):
-        node = ReplicaNode(0, ClusterConfig(n=3))
-        node.run_profiling("diamond", (fixtures_dir / "diamond.dot").read_text())
-        t = node.timings["diamond"]
-        assert t.parse_s >= 0 and t.extract_s >= 0 and t.hash_s >= 0
-        assert t.parse_s + t.extract_s + t.hash_s <= t.total_s
-
-    def test_broadcast_count(self, fixtures_dir):
-        node = ReplicaNode(0, ClusterConfig(n=3))
-        node.run_profiling("diamond", (fixtures_dir / "diamond.dot").read_text())
-        assert len(node.broadcast_signature("diamond")) == 2
+        assert node.envelope("bad") is None
 
     def test_handle_envelope_corrupted_payload(self, fixtures_dir):
         config = ClusterConfig(n=3)
@@ -103,7 +93,7 @@ class TestNode:
         node.run_profiling("diamond", (fixtures_dir / "diamond.dot").read_text())
         enc = encrypt(node.signatures["diamond"], config.cipher, config.key)
         bad = type(enc)(enc.cipher, enc.key_id, b"\x00" + enc.payload[1:])
-        vote = node.handle_envelope(SignatureEnvelope(1, "diamond", bad))
+        vote = node.handle_envelope("diamond", 1, bad)
         assert vote.verdict is Outcome.MISMATCH
         assert node.decrypt_failures
 
@@ -195,6 +185,29 @@ class TestSocketTransport:
         with pytest.raises(TransportError):
             transport.send(1, b"CFS1")
 
+    def test_silent_peer_does_not_block_receiver(self, monkeypatch):
+        monkeypatch.setattr(replica, "SOCKET_TIMEOUT_S", 0.1)
+        transport = SocketTransport(2)
+        try:
+            with socket.create_connection(("127.0.0.1", transport.ports[1])):
+                transport.send(1, b"CFS1")
+                deadline = time.monotonic() + 2.0
+                while transport.pending(1) == 0 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert transport.drain(1) == [b"CFS1"]
+        finally:
+            transport.close()
+
+    def test_rounds_leave_no_threads_behind(self, diamond):
+        config = ClusterConfig(n=5, transport="socket")
+        baseline = threading.active_count()
+        for _ in range(20):
+            run_cluster_scenario(config, Scenario("diamond", diamond))
+        deadline = time.monotonic() + 0.5
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+
 
 class TestScenarioFiles:
     def test_parse_and_run(self, tmp_path, fixtures_dir):
@@ -217,10 +230,18 @@ class TestScenarioFiles:
             "n=3\nfixture=diamond.dot\ntamper=7:RemoveEdge:B2>B4\n",
             "n=3\nfixture=diamond.dot\nbogus=1\n",
             "n=1\nfixture=diamond.dot\n",
+            "n=3\nfixture=diamond.dot\ndead=x\n",
+            "n=3\nfixture=diamond.dot\ntamper=1:RemoveEdge:B4>B1\n",
+            "n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n",
+            "n=3\nfixture=unreachable.dot\n",
+            "n=3\nfixture=diamond.txt\n",
         ],
     )
     def test_rejects_bad_scenarios(self, tmp_path, fixtures_dir, text):
-        (tmp_path / "diamond.dot").write_text((fixtures_dir / "diamond.dot").read_text())
+        diamond = (fixtures_dir / "diamond.dot").read_text()
+        (tmp_path / "diamond.dot").write_text(diamond)
+        (tmp_path / "diamond.txt").write_text(diamond)
+        (tmp_path / "unreachable.dot").write_text(UNREACHABLE_DOT)
         scn = tmp_path / "bad.scn"
         scn.write_text(text)
         with pytest.raises(ScenarioError):
