@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cfg import BlockId, ControlFlowGraph, Edge
+from .cfg import BlockId, ControlFlowGraph, Edge, reachable_from, successor_index
 from .errors import TooLargeError
 
 ENUMERATION_BUDGET = 10**6
@@ -44,21 +44,7 @@ class Arborescence:
             indeg[dst] += 1
         assert indeg[self.root] == 0
         assert all(indeg[n] == 1 for n in self.nodes if n != self.root)
-        assert _reaches_all(self.root, self.nodes, self.edges)
-
-
-def _reaches_all(root: BlockId, nodes: frozenset[BlockId], edges: frozenset[Edge]) -> bool:
-    seen = {root}
-    stack = [root]
-    succ: dict[BlockId, list[BlockId]] = {}
-    for s, d in edges:
-        succ.setdefault(s, []).append(d)
-    while stack:
-        for d in succ.get(stack.pop(), []):
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return seen == set(nodes)
+        assert reachable_from(self.root, self.edges) == self.nodes
 
 
 @dataclass(frozen=True)
@@ -89,31 +75,26 @@ def find_arborescence(
 ) -> Arborescence | None:
     """Deterministic BFS spanning arborescence from entry, or None.
 
-    Nodes are reached layer by layer; each newly reached node takes the
-    lexicographically smallest (src, dst) parent edge among candidates in
-    *available* whose source sits in the previous layer. Returns None when
-    some node is unreachable using only the available edges.
+    Nodes are reached layer by layer. Each layer scans the out-edges in
+    *available* of its own nodes once, and each newly reached node keeps the
+    lexicographically smallest (src, dst) parent edge among them, so the
+    whole search is O(V+E). Returns None when some node is unreachable using
+    only the available edges.
     """
-    if available is None:
-        available = g.edges
-    by_dst: dict[BlockId, list[Edge]] = {}
-    for edge in available:
-        by_dst.setdefault(edge[1], []).append(edge)
-
+    succ = successor_index(g.edges if available is None else available)
     reached = {g.entry}
     layer = [g.entry]
-    chosen: set[Edge] = set()
+    chosen: list[Edge] = []
     while layer:
-        layer_set = set(layer)
-        newly: list[BlockId] = []
-        for dst in sorted(set(by_dst) - reached):
-            candidates = [e for e in by_dst[dst] if e[0] in layer_set]
-            if candidates:
-                chosen.add(min(candidates))
-                newly.append(dst)
-        reached.update(newly)
-        layer = newly
-    if reached != set(g.nodes):
+        parent: dict[BlockId, BlockId] = {}
+        for src in layer:
+            for dst in succ.get(src, ()):
+                if dst not in reached and (dst not in parent or src < parent[dst]):
+                    parent[dst] = src
+        chosen.extend((src, dst) for dst, src in parent.items())
+        reached.update(parent)
+        layer = list(parent)
+    if reached != g.nodes:
         return None
     return Arborescence(g.entry, g.nodes, frozenset(chosen))
 
@@ -163,7 +144,7 @@ def enumerate_all_arborescences(g: ControlFlowGraph) -> list[Arborescence]:
     result: list[Arborescence] = []
     for combo in itertools.product(*(incoming[n] for n in others)):
         edges = frozenset(combo)
-        if _reaches_all(g.entry, g.nodes, edges):
+        if reachable_from(g.entry, edges) == g.nodes:
             result.append(Arborescence(g.entry, g.nodes, edges))
     result.sort(key=Arborescence.canonical)
     return result

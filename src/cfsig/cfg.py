@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 import xml.etree.ElementTree as ET
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +44,27 @@ def check_block_id(token: str) -> None:
             raise GraphSyntaxError(f"illegal character {ch!r} in block id {token!r}")
 
 
+def successor_index(edges: Iterable[Edge]) -> dict[BlockId, list[BlockId]]:
+    """Map each source block to its destinations, in the order of *edges*."""
+    succ: dict[BlockId, list[BlockId]] = {}
+    for src, dst in edges:
+        succ.setdefault(src, []).append(dst)
+    return succ
+
+
+def reachable_from(root: BlockId, edges: Iterable[Edge]) -> set[BlockId]:
+    """Every block reachable from *root* over *edges*, found in O(V+E)."""
+    succ = successor_index(edges)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for dst in succ.get(stack.pop(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
 @dataclass(frozen=True)
 class ControlFlowGraph:
     """Directed graph of basic blocks with a designated entry block."""
@@ -59,21 +82,8 @@ class ControlFlowGraph:
             if src not in self.nodes or dst not in self.nodes:
                 raise GraphSyntaxError(f"edge {src!r} -> {dst!r} has undeclared endpoint")
 
-    def successors(self, node: BlockId) -> list[BlockId]:
-        return sorted(dst for src, dst in self.edges if src == node)
-
     def reachable_from_entry(self) -> frozenset[BlockId]:
-        seen = {self.entry}
-        frontier = [self.entry]
-        while frontier:
-            nxt: list[BlockId] = []
-            for node in frontier:
-                for dst in self.successors(node):
-                    if dst not in seen:
-                        seen.add(dst)
-                        nxt.append(dst)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(reachable_from(self.entry, self.edges))
 
 
 @dataclass(frozen=True)
@@ -100,10 +110,8 @@ def validate_cfg(g: ControlFlowGraph) -> ValidationReport:
     Dangling endpoints need no check: the ControlFlowGraph constructor
     already rejects them.
     """
-    violations: list[Violation] = []
-    for src, dst in sorted(g.edges):
-        if src == dst:
-            violations.append(Violation("SelfLoop", src))
+    loops = sorted(src for src, dst in g.edges if src == dst)
+    violations = [Violation("SelfLoop", node) for node in loops]
     reachable = g.reachable_from_entry()
     for node in sorted(g.nodes - reachable):
         violations.append(Violation("UnreachableNode", node))
@@ -165,6 +173,18 @@ def _resolve_entry(
 
 _DOT_SPECIALS = "{}[];=,"
 
+# One alternative per lexical class, in precedence order: whitespace and
+# comments are skipped, an unclosed "/*" and any other forbidden character
+# are errors. "\s" matches exactly the characters str.isspace() accepts.
+_DOT_TOKEN = re.compile(
+    r"(?P<skip>\s+|//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open>/\*)"
+    rf"|(?P<token>->|[{re.escape(_DOT_SPECIALS)}])"
+    rf"|(?P<id>[^\s{re.escape(''.join(sorted(_FORBIDDEN_ID_CHARS)))}]+)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
 
 @dataclass
 class _Token:
@@ -174,45 +194,23 @@ class _Token:
 
 
 def _tokenize_dot(text: str) -> list[_Token]:
+    """Split DOT text into tokens with 1-based positions; only "\\n" ends a line."""
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            advance(1)
-        elif text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-        elif text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise GraphSyntaxError("unterminated block comment", line, col)
-            advance(end + 2 - i)
-        elif text.startswith("->", i):
-            tokens.append(_Token("->", line, col))
-            advance(2)
-        elif ch in _DOT_SPECIALS:
-            tokens.append(_Token(ch, line, col))
-            advance(1)
-        elif ch in _FORBIDDEN_ID_CHARS:
-            raise GraphSyntaxError(f"unexpected character {ch!r}", line, col)
-        else:
-            start, sl, sc = i, line, col
-            while i < n and not text[i].isspace() and text[i] not in _FORBIDDEN_ID_CHARS:
-                advance(1)
-            tokens.append(_Token(text[start:i], sl, sc))
+    line, line_start = 1, 0
+    for m in _DOT_TOKEN.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind == "skip":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, m.end()) + 1
+            continue
+        col = start - line_start + 1
+        if kind == "open":
+            raise GraphSyntaxError("unterminated block comment", line, col)
+        if kind == "bad":
+            raise GraphSyntaxError(f"unexpected character {m.group()!r}", line, col)
+        tokens.append(_Token(m.group(), line, col))
     return tokens
 
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from cfsig.arborescence import arborescence_to_dot
 from cfsig import (
+    Arborescence,
+    ControlFlowGraph,
     enumerate_all_arborescences,
     find_arborescence,
     generate_synthetic,
@@ -16,6 +18,48 @@ from cfsig import (
 from cfsig.errors import TooLargeError
 
 from .conftest import fixture_graphs
+
+
+def reference_find_arborescence(g, available=None):
+    """The layer-rescanning BFS, kept as the reference: at each layer every
+    unreached destination takes its smallest parent edge from that layer."""
+    if available is None:
+        available = g.edges
+    by_dst = {}
+    for edge in available:
+        by_dst.setdefault(edge[1], []).append(edge)
+
+    reached = {g.entry}
+    layer = [g.entry]
+    chosen = set()
+    while layer:
+        layer_set = set(layer)
+        newly = []
+        for dst in sorted(set(by_dst) - reached):
+            candidates = [e for e in by_dst[dst] if e[0] in layer_set]
+            if candidates:
+                chosen.add(min(candidates))
+                newly.append(dst)
+        reached.update(newly)
+        layer = newly
+    if reached != set(g.nodes):
+        return None
+    return Arborescence(g.entry, g.nodes, frozenset(chosen))
+
+
+@st.composite
+def graphs_with_available(draw):
+    """A random graph (self-loops and cycles allowed, any entry) and either
+    None or a random subset of its edges."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    names = [f"B{i}" for i in range(n)]
+    pairs = [(a, b) for a in names for b in names]
+    edges = frozenset(draw(st.sets(st.sampled_from(pairs), max_size=30)))
+    g = ControlFlowGraph(frozenset(names), edges, draw(st.sampled_from(names)))
+    available = None
+    if edges and draw(st.booleans()):
+        available = frozenset(draw(st.sets(st.sampled_from(sorted(edges)))))
+    return g, available
 
 
 def spanning_tree_count_by_growth(graph) -> int:
@@ -66,6 +110,28 @@ class TestFindArborescence:
         assert arb is not None
         arb.check()
         assert arb.edges <= g.edges
+
+    @given(graphs_with_available())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_random_graphs(self, case):
+        g, available = case
+        assert find_arborescence(g, available) == reference_find_arborescence(g, available)
+
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.floats(min_value=0.0, max_value=0.8),
+        st.integers(min_value=0, max_value=2**32),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_on_synthetic_subsets(self, n, density, seed, rnd):
+        g = generate_synthetic(n, density, seed)
+        for available in (None, frozenset(e for e in g.edges if rnd.random() < 0.7)):
+            assert find_arborescence(g, available) == reference_find_arborescence(g, available)
+
+    def test_matches_reference_on_fixtures(self):
+        for name, g in fixture_graphs():
+            assert find_arborescence(g) == reference_find_arborescence(g), name
 
 
 class TestPeel:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsig import (
+    ControlFlowGraph,
     Mutation,
     generate_synthetic,
     mutate,
@@ -15,6 +16,7 @@ from cfsig import (
     serialize_graphml,
     validate_cfg,
 )
+from cfsig.cfg import _DOT_SPECIALS, _FORBIDDEN_ID_CHARS, _Token, _tokenize_dot
 from cfsig.errors import (
     DuplicateEdgeError,
     GraphSyntaxError,
@@ -27,6 +29,63 @@ from cfsig.errors import (
 from .conftest import fixture_graphs
 
 DIAMOND = "digraph g { B1 -> B2; B1 -> B3; B2 -> B4; B3 -> B4; }"
+
+
+def reference_tokenize_dot(text: str) -> list[_Token]:
+    """The character-at-a-time DOT tokenizer, kept as the reference."""
+    tokens: list[_Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            advance(1)
+        elif text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                advance(1)
+        elif text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                raise GraphSyntaxError("unterminated block comment", line, col)
+            advance(end + 2 - i)
+        elif text.startswith("->", i):
+            tokens.append(_Token("->", line, col))
+            advance(2)
+        elif ch in _DOT_SPECIALS:
+            tokens.append(_Token(ch, line, col))
+            advance(1)
+        elif ch in _FORBIDDEN_ID_CHARS:
+            raise GraphSyntaxError(f"unexpected character {ch!r}", line, col)
+        else:
+            start, sl, sc = i, line, col
+            while i < n and not text[i].isspace() and text[i] not in _FORBIDDEN_ID_CHARS:
+                advance(1)
+            tokens.append(_Token(text[start:i], sl, sc))
+    return tokens
+
+
+def tokenize_outcome(tokenize, text: str):
+    """Tokens as (text, line, col) triples, or the error's message and position."""
+    try:
+        return [(t.text, t.line, t.col) for t in tokenize(text)]
+    except GraphSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+# Every character class the tokenizer distinguishes, plus Unicode whitespace
+# (no-break space, line separator) that is whitespace but not a line break.
+DOT_ALPHABET = 'digraph B1x_{}[];=,-></*:"\n\t\r \u00a0\u2028\u00e9'
 
 
 class TestParseDot:
@@ -73,6 +132,51 @@ class TestParseDot:
         with pytest.raises(GraphSyntaxError) as exc:
             parse_dot("digraph g {\n B1 ->; }")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text,message,line,col",
+        [
+            (  # position counting resumes after a multi-line block comment
+                "digraph g {\n/* one\n   two\n */ B1 -> ; }",
+                "expected identifier, found ';'", 4, 11,
+            ),
+            (  # a line comment ends at, and does not consume, its newline
+                "digraph g { // note\n  B1 -> B2 ]; }",
+                "expected ';', found ']'", 2, 12,
+            ),
+            (  # reported at the comment opener
+                "digraph g {\n  B1; /* never\n closed }",
+                "unterminated block comment", 2, 7,
+            ),
+            ("digraph g {\n  B1 - B2; }", "unexpected character '-'", 2, 6),
+            ("digraph g { B1 / B2; }", "unexpected character '/'", 1, 16),
+            ("digraph g {\n\n   B1:p -> B2; }", "unexpected character ':'", 3, 6),
+            (  # a no-break space separates tokens and counts as one column
+                "digraph g { B1 ->\u00a0B2\u00a0}",
+                "expected ';', found '}'", 1, 22,
+            ),
+        ],
+    )
+    def test_syntax_error_exact_positions(self, text, message, line, col):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse_dot(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (
+            f"{message} (line {line}, col {col})", line, col
+        )
+
+    @given(st.text(alphabet=DOT_ALPHABET, max_size=60))
+    @settings(max_examples=400, deadline=None)
+    def test_tokenizer_matches_reference(self, text):
+        assert tokenize_outcome(_tokenize_dot, text) == tokenize_outcome(
+            reference_tokenize_dot, text
+        )
+
+    def test_tokenizer_matches_reference_on_fixtures(self, fixtures_dir):
+        for path in sorted(fixtures_dir.rglob("*.dot")):
+            text = path.read_text()
+            assert tokenize_outcome(_tokenize_dot, text) == tokenize_outcome(
+                reference_tokenize_dot, text
+            ), path.name
 
     @pytest.mark.parametrize(
         "text",
@@ -137,18 +241,40 @@ class TestValidate:
         assert validate_cfg(diamond).ok
 
     def test_unreachable_node(self, diamond):
-        from cfsig import ControlFlowGraph
-
         g = ControlFlowGraph(diamond.nodes | {"B9"}, diamond.edges, diamond.entry)
         report = validate_cfg(g)
         assert [str(v) for v in report.violations] == ["UnreachableNode(B9)"]
         assert validate_cfg(prune_unreachable(g)).ok
 
     def test_self_loop_violation(self, diamond):
-        from cfsig import ControlFlowGraph
-
         g = ControlFlowGraph(diamond.nodes, diamond.edges | {("B4", "B4")}, "B1")
         assert any(str(v) == "SelfLoop(B4)" for v in validate_cfg(g).violations)
+
+    def test_violation_order(self):
+        g = ControlFlowGraph(
+            {"B1", "B2", "B3", "B4"}, {("B3", "B3"), ("B1", "B2"), ("B2", "B2")}, "B1"
+        )
+        assert [str(v) for v in validate_cfg(g).violations] == [
+            "SelfLoop(B2)", "SelfLoop(B3)", "UnreachableNode(B3)", "UnreachableNode(B4)",
+        ]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reachable_from_entry_is_the_naive_fixpoint(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        names = [f"B{i}" for i in range(n)]
+        pairs = [(a, b) for a in names for b in names]
+        edges = data.draw(st.sets(st.sampled_from(pairs)))
+        g = ControlFlowGraph(frozenset(names), frozenset(edges), data.draw(st.sampled_from(names)))
+        seen = {g.entry}
+        changed = True
+        while changed:
+            changed = False
+            for src, dst in g.edges:
+                if src in seen and dst not in seen:
+                    seen.add(dst)
+                    changed = True
+        assert g.reachable_from_entry() == seen
 
 
 class TestRoundTrip:
