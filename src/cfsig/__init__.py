@@ -34,7 +34,6 @@ from .signature import (
     HashAlgorithm,
     ProcessSignature,
     build_signature,
-    canonicalize,
     decrypt,
     encrypt,
     hash_canonical,
@@ -72,7 +71,6 @@ __all__ = [
     "Verdict",
     "VoteMessage",
     "build_signature",
-    "canonicalize",
     "decrypt",
     "encrypt",
     "enumerate_all_arborescences",

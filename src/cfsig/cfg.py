@@ -244,7 +244,7 @@ class _DotParser:
             raise GraphSyntaxError(
                 f"expected identifier, found {tok.text!r}", tok.line, tok.col
             )
-        check_block_id(tok.text)
+        # The tokenizer's id class admits only what check_block_id accepts.
         return tok
 
 

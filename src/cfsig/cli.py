@@ -71,13 +71,11 @@ def cmd_match(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         config, scenario = parse_scenario_file(args.scenario)
-        result = run_cluster_scenario(config, scenario, threaded=args.threaded)
+        result = run_cluster_scenario(config, scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    out = Path(args.transcript) if args.transcript else Path(args.scenario).with_suffix(
-        ".transcript"
-    )
+    out = Path(args.transcript or Path(args.scenario).with_suffix(".transcript"))
     out.write_text(result.transcript_text())
     print(result.consensus.verdict)
     return EXIT_OK if result.consensus.verdict.kind == "Clean" else EXIT_MISMATCH
@@ -249,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a replica-cluster scenario")
     p.add_argument("scenario")
     p.add_argument("--transcript")
-    p.add_argument("--threaded", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="per-phase timing report over a fixture corpus")
@@ -265,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, but 2 means mismatch here
+        return EXIT_BAD_INPUT if exc.code == 2 else exc.code
     return args.func(args)
 
 

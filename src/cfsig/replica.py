@@ -6,11 +6,10 @@ and shares its votes. A tampered replica is isolated when a strict majority
 of participating nodes vote Mismatch against it.
 
 One phase engine runs the round's four phases (profile, signature, vote,
-tally): it runs a per-node action on the live nodes, sends every frame an
-action returned to every peer in (sender, receiver) order, logs each frame
-and waits for delivery before the next phase starts. The barriers between
-phases make the transcript a deterministic function of (config, scenario)
-regardless of whether node work runs sequentially or on threads.
+tally): it runs a per-node action on each live node in id order (a dead node
+runs none), sends every frame an action returned to every peer in (sender,
+receiver) order, logs each frame and waits for delivery before the next phase
+starts, so the transcript is a deterministic function of (config, scenario).
 """
 
 from __future__ import annotations
@@ -26,13 +25,14 @@ from pathlib import Path
 # parse_graphml is unused here, but perfbench's traced run patches replica.parse_graphml.
 from .cfg import ControlFlowGraph, Mutation, load_graph, mutate, parse_dot, parse_graphml, serialize_dot, validate_cfg
 from .arborescence import peel_edge_disjoint
-from .errors import CfsigError, MalformedPlaintextError, ScenarioError, TransportError
+from .errors import CfsigError, InvalidKeyError, MalformedPlaintextError, ScenarioError, TransportError
 from .matcher import Outcome, match_signatures
 from .signature import (
     Cipher,
     EncryptedSignature,
     HashAlgorithm,
     ProcessSignature,
+    _check_key,
     build_signature,
     decrypt,
     encrypt,
@@ -46,8 +46,8 @@ MSG_VOTE = 2
 NO_SUBJECT = 0xFFFF
 _HEADER = struct.Struct("!4sBHHI")
 
-# Bounds both connecting to a peer and reading a frame from one, so a peer
-# that connects and stays silent cannot block a receiver forever.
+# Bounds connecting to a peer, reading a frame from one and waiting for a phase's
+# frames to be delivered, so a silent peer cannot block a receiver or a round.
 SOCKET_TIMEOUT_S = 2.0
 
 
@@ -143,13 +143,14 @@ class ClusterConfig:
     cipher: Cipher = Cipher.SHIFT_BYTE
     key: int = 7
     transport: str = "inprocess"  # inprocess | socket
-    timeout_ms: int = 5000
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ScenarioError(f"replication factor must be >= 2, got {self.n}")
-        if self.timeout_ms <= 0:
-            raise ScenarioError("timeout must be positive")
+        try:
+            _check_key(self.cipher, self.key)
+        except InvalidKeyError as exc:
+            raise ScenarioError(str(exc)) from exc
         if self.transport not in ("inprocess", "socket"):
             raise ScenarioError(f"unknown transport {self.transport!r}")
 
@@ -283,9 +284,10 @@ class SocketTransport(Transport):
             srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             srv.bind(("127.0.0.1", 0))
             srv.listen(16)
-            self._servers.append(srv)
             self.ports[i] = srv.getsockname()[1]
-            threading.Thread(target=self._serve, args=(i, srv), daemon=True).start()
+            thread = threading.Thread(target=self._serve, args=(i, srv), daemon=True)
+            thread.start()
+            self._servers.append((srv, thread))
 
     def _serve(self, node: NodeId, srv) -> None:
         while True:
@@ -314,13 +316,15 @@ class SocketTransport(Transport):
             raise TransportError(f"peer {receiver} unreachable: {exc}") from exc
 
     def close(self) -> None:
-        for srv in self._servers:
+        for srv, _ in self._servers:
             try:
                 # Closing alone leaves _serve blocked in accept(); shutdown wakes it.
                 srv.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             srv.close()
+        for _, thread in self._servers:  # after every shutdown, so the threads exit together
+            thread.join(SOCKET_TIMEOUT_S)  # no accept thread outlives the round
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +346,7 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
     Keys: ``n``, ``fixture`` (a ``.dot`` or ``.graphml`` path relative to the
     scenario file; it must be a valid CFG), optional
     ``tamper=<node>:<mutation-spec>`` (it must apply to the fixture),
-    ``alg``, ``cipher``, ``key``, ``dead=<node>``, ``timeout_ms``.
+    ``alg``, ``cipher``, ``key`` (it must suit the cipher), ``dead=<node>``.
     """
     path = Path(path)
     fields: dict[str, str] = {}
@@ -359,7 +363,7 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
             raise ScenarioError(f"bad scenario line {line!r}")
         fields[key.strip()] = value.strip()
 
-    known = {"n", "fixture", "tamper", "alg", "cipher", "key", "dead", "timeout_ms"}
+    known = {"n", "fixture", "tamper", "alg", "cipher", "key", "dead"}
     unknown = set(fields) - known
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
@@ -401,7 +405,6 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
             algorithm=HashAlgorithm(fields.get("alg", "MD5")),
             cipher=Cipher(fields.get("cipher", "ShiftByte")),
             key=int(fields.get("key", "7")),
-            timeout_ms=int(fields.get("timeout_ms", "5000")),
         )
     except ValueError as exc:
         raise ScenarioError(f"bad scenario value: {exc}") from exc
@@ -421,70 +424,41 @@ class RoundResult:
         return "\n".join(self.transcript) + "\n"
 
 
-def run_cluster_scenario(
-    config: ClusterConfig, scenario: Scenario, threaded: bool = False
-) -> RoundResult:
+def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResult:
     """Boot n replicas, run one full detection round, return the verdict.
 
     The transcript logs every frame in a deterministic order (sorted by
-    sender then receiver per phase), independent of thread scheduling.
-    ``phase_seconds`` has one entry per phase: profile, signature, vote, tally.
+    sender then receiver per phase). ``phase_seconds`` has one entry per
+    phase: profile, signature, vote, tally.
     """
     n = config.n
-    timeout_s = config.timeout_ms / 1000.0
     label = scenario.process_label
     nodes = [ReplicaNode(i, config) for i in range(n)]
-
-    inputs: list[str] = []
-    for i in range(n):
-        graph = scenario.graph
-        if scenario.tamper is not None and scenario.tamper[0] == i:
-            graph = mutate(graph, scenario.tamper[1])
-        inputs.append(serialize_dot(graph))
 
     transcript = [
         f"scenario label={label} n={n} alg={config.algorithm.value} "
         f"cipher={config.cipher.value} key_id={config.key & 0xFF}"
     ]
     phase_seconds: dict[str, float] = {}
-    live = {i for i in range(n) if i != scenario.dead}
+    live = [node for node in nodes if node.id != scenario.dead]
     transport = (
         SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
     )
 
     def run_phase(name: str, action: Callable[[ReplicaNode], list[tuple[str, bytes]]]) -> None:
-        """Run *action* on the live nodes, then broadcast what each returned and wait.
+        """Run *action* on each live node, then broadcast what each returned and wait.
 
         An action returns (transcript detail, encoded frame) pairs; each frame
-        goes to every peer. A node that does not finish within the timeout
-        drops out of ``live``; delivery waits at most one timeout too.
+        goes to every peer. Delivery waits at most ``SOCKET_TIMEOUT_S``.
         """
         t0 = time.perf_counter()
-        outboxes: dict[NodeId, list[tuple[str, bytes]]] = {}
-
-        def act(node: ReplicaNode) -> None:
-            if node.id in live:
-                outboxes[node.id] = action(node)
-            elif threaded:
-                time.sleep(timeout_s * 10)  # a silent node never completes the phase
-
-        if threaded:
-            threads = [threading.Thread(target=act, args=(node,), daemon=True) for node in nodes]
-            for th in threads:
-                th.start()
-            deadline = time.monotonic() + timeout_s
-            for th in threads:
-                th.join(max(deadline - time.monotonic(), 0.0))
-        else:
-            for node in nodes:
-                act(node)
-        live.intersection_update(list(outboxes))
+        outboxes = [(node.id, action(node)) for node in live]
         delivered: dict[NodeId, int] = {}
-        for sender in sorted(live):
+        for sender, outbox in outboxes:
             for receiver in range(n):
                 if receiver == sender:
                     continue
-                for detail, frame_bytes in outboxes.get(sender, ()):
+                for detail, frame_bytes in outbox:
                     line = f"frame phase={name} from={sender} to={receiver}"
                     try:
                         transport.send(receiver, frame_bytes)
@@ -493,7 +467,7 @@ def run_cluster_scenario(
                         continue
                     delivered[receiver] = delivered.get(receiver, 0) + 1
                     transcript.append(f"{line} {detail}hex={frame_bytes.hex()}")
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + SOCKET_TIMEOUT_S
         while any(transport.pending(r) < c for r, c in delivered.items()):
             if time.monotonic() >= deadline:
                 break
@@ -501,7 +475,10 @@ def run_cluster_scenario(
         phase_seconds[name] = time.perf_counter() - t0
 
     def profile(node: ReplicaNode):
-        node.run_profiling(label, inputs[node.id])
+        graph = scenario.graph
+        if scenario.tamper is not None and scenario.tamper[0] == node.id:
+            graph = mutate(graph, scenario.tamper[1])
+        node.run_profiling(label, serialize_dot(graph))
         return []
 
     def signature(node: ReplicaNode):
@@ -547,7 +524,7 @@ def run_cluster_scenario(
         for node in nodes:
             sig = node.signatures.get(label)
             local_digests[node.id] = sig.digests if sig else None
-            if node.id not in live:
+            if node.id == scenario.dead:
                 status = "silent"
             elif sig is None:
                 status = "failed"
@@ -556,13 +533,11 @@ def run_cluster_scenario(
             transcript.append(f"profile node={node.id} status={status}")
         run_phase("signature", signature)
         run_phase("vote", vote)
-        participating = {i for i in live if local_digests[i] is not None}
+        participating = [node.id for node in live if local_digests[node.id] is not None]
         run_phase("tally", tally)
     finally:
         transport.close()
 
-    if not live or not rounds:
-        raise ScenarioError("no replica completed the round within the timeout")
     primary = rounds[min(rounds)]
     transcript.append(f"verdict {primary.verdict}")
     return RoundResult(primary, transcript, phase_seconds, rounds)

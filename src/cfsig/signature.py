@@ -13,7 +13,7 @@ import enum
 import hashlib
 from dataclasses import dataclass
 
-from .arborescence import Arborescence, ArborescenceSet
+from .arborescence import ArborescenceSet
 from .errors import InvalidKeyError, MalformedPlaintextError
 
 _MASK64 = (1 << 64) - 1
@@ -47,11 +47,6 @@ class Cipher(enum.Enum):
             if c.wire_tag == tag:
                 return c
         raise MalformedPlaintextError(f"unknown cipher tag {tag}")
-
-
-def canonicalize(a: Arborescence) -> str:
-    """Canonical ASCII rendering of an arborescence (nodes, edges, root)."""
-    return a.canonical()
 
 
 def hash_canonical(canonical: str, algorithm: HashAlgorithm) -> str:

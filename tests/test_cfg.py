@@ -16,7 +16,7 @@ from cfsig import (
     serialize_graphml,
     validate_cfg,
 )
-from cfsig.cfg import _DOT_SPECIALS, _FORBIDDEN_ID_CHARS, _Token, _tokenize_dot
+from cfsig.cfg import _DOT_SPECIALS, _FORBIDDEN_ID_CHARS, _Token, _tokenize_dot, check_block_id
 from cfsig.errors import (
     DuplicateEdgeError,
     GraphSyntaxError,
@@ -170,6 +170,18 @@ class TestParseDot:
         assert tokenize_outcome(_tokenize_dot, text) == tokenize_outcome(
             reference_tokenize_dot, text
         )
+
+    @given(st.text(alphabet=DOT_ALPHABET, max_size=60) | st.text(max_size=60))
+    @settings(max_examples=400, deadline=None)
+    def test_id_tokens_are_valid_block_ids(self, text):
+        # parse_dot relies on this instead of calling check_block_id per id.
+        try:
+            tokens = _tokenize_dot(text)
+        except GraphSyntaxError:
+            return
+        for tok in tokens:
+            if tok.text not in _DOT_SPECIALS and tok.text != "->":
+                check_block_id(tok.text)
 
     def test_tokenizer_matches_reference_on_fixtures(self, fixtures_dir):
         for path in sorted(fixtures_dir.rglob("*.dot")):

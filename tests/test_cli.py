@@ -22,6 +22,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["simulate"],
+            ["--alg", "XX", "sign", "g.dot"],
+            ["simulate", "s.scn", "--threaded"],
+        ],
+    )
+    def test_usage_error_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: cfsig") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: cfsig")
+
+
 class TestSign:
     def test_sign_diamond(self, capsys, corpus):
         out_path = corpus / "diamond.sig"
@@ -110,6 +131,9 @@ class TestSimulate:
             "n=3\nfixture=diamond.dot\ntamper=1:RemoveEdge:B4>B1\n",
             "n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n",
             "n=3\nfixture=unreachable.dot\n",
+            "n=3\nfixture=diamond.dot\nkey=0\n",
+            "n=3\nfixture=diamond.dot\nkey=300\n",
+            "n=3\nfixture=diamond.dot\ncipher=XorStream\nkey=-1\n",
         ],
     )
     def test_bad_scenario_value_exit_4(self, capsys, corpus, text):

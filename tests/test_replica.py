@@ -147,23 +147,18 @@ class TestScenarios:
             assert result.consensus.verdict.kind == "Clean", (name, n)
 
     def test_transcript_deterministic_across_schedules(self, diamond):
-        seq = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
-        thr = run_cluster_scenario(
-            ClusterConfig(n=3), Scenario("diamond", diamond), threaded=True
-        )
+        first = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
         again = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
-        assert seq.transcript == thr.transcript == again.transcript
+        assert first.transcript == again.transcript
 
-    def test_timeout_liveness_with_silent_node(self, diamond):
-        config = ClusterConfig(n=3, timeout_ms=200)
+    def test_dead_node_round_is_prompt_and_leaves_no_threads(self, diamond):
+        baseline = threading.active_count()
         start = time.monotonic()
-        result = run_cluster_scenario(
-            config, Scenario("diamond", diamond, dead=2), threaded=True
-        )
-        elapsed = time.monotonic() - start
-        assert elapsed < 4 * 0.2 + 2.0  # four phase timeouts plus slack
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond, dead=2))
+        assert time.monotonic() - start < 1.0
         assert result.consensus.verdict.kind == "Clean"
-        assert any("node=2 status=silent" in l for l in result.transcript)
+        assert "profile node=2 status=silent" in result.transcript
+        assert threading.active_count() == baseline
 
 
 class TestSocketTransport:
@@ -203,10 +198,7 @@ class TestSocketTransport:
         baseline = threading.active_count()
         for _ in range(20):
             run_cluster_scenario(config, Scenario("diamond", diamond))
-        deadline = time.monotonic() + 0.5
-        while threading.active_count() > baseline and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert threading.active_count() <= baseline
+            assert threading.active_count() == baseline  # close() joined the accept threads
 
 
 class TestScenarioFiles:
@@ -235,6 +227,9 @@ class TestScenarioFiles:
             "n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n",
             "n=3\nfixture=unreachable.dot\n",
             "n=3\nfixture=diamond.txt\n",
+            "n=3\nfixture=diamond.dot\nkey=0\n",
+            "n=3\nfixture=diamond.dot\nkey=300\n",
+            "n=3\nfixture=diamond.dot\ncipher=XorStream\nkey=-1\n",
         ],
     )
     def test_rejects_bad_scenarios(self, tmp_path, fixtures_dir, text):
@@ -258,9 +253,7 @@ class TestGoldenTranscripts:
     )
     def test_matches_golden(self, diamond, golden_name, tamper):
         golden = (FIXTURES.parent / "tests" / "golden" / golden_name).read_text()
-        for threaded in (False, True):
-            result = run_cluster_scenario(
-                ClusterConfig(n=3), Scenario("diamond", diamond, tamper=tamper),
-                threaded=threaded,
-            )
-            assert result.transcript_text() == golden
+        result = run_cluster_scenario(
+            ClusterConfig(n=3), Scenario("diamond", diamond, tamper=tamper)
+        )
+        assert result.transcript_text() == golden

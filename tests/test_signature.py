@@ -12,7 +12,6 @@ from cfsig import (
     HashAlgorithm,
     Mutation,
     build_signature,
-    canonicalize,
     decrypt,
     encrypt,
     generate_synthetic,
@@ -37,17 +36,17 @@ class TestCanonicalize:
             frozenset({"B1", "B2", "B3", "B4"}),
             frozenset({("B1", "B2"), ("B1", "B3"), ("B2", "B4")}),
         )
-        assert canonicalize(arb) == DIAMOND_CANONICAL
+        assert arb.canonical() == DIAMOND_CANONICAL
 
     def test_single_node(self):
         arb = Arborescence("B1", frozenset({"B1"}), frozenset())
-        assert canonicalize(arb) == "nodes:B1;edges:;root:B1"
+        assert arb.canonical() == "nodes:B1;edges:;root:B1"
 
     def test_order_insensitive(self):
         edges = [("B2", "B4"), ("B1", "B3"), ("B1", "B2")]
         a = Arborescence("B1", {"B1", "B2", "B3", "B4"}, frozenset(edges))
         b = Arborescence("B1", {"B4", "B3", "B2", "B1"}, frozenset(reversed(edges)))
-        assert canonicalize(a) == canonicalize(b)
+        assert a.canonical() == b.canonical()
 
     def test_distinct_edge_sets_distinct_strings(self):
         rng = random.Random(99)
@@ -56,7 +55,7 @@ class TestCanonicalize:
             g = generate_synthetic(rng.randint(2, 8), rng.random() * 0.6, seed)
             for arb in peel_edge_disjoint(g):
                 key = (arb.root, arb.nodes, arb.edges)
-                c = canonicalize(arb)
+                c = arb.canonical()
                 if c in seen:
                     assert seen[c] == key
                 seen[c] = key
@@ -65,7 +64,7 @@ class TestCanonicalize:
         # a strict edge-subset can never share the canonical string
         full = Arborescence("B1", {"B1", "B2", "B3"}, {("B1", "B2"), ("B2", "B3")})
         sub = Arborescence("B1", {"B1", "B2"}, {("B1", "B2")})
-        assert canonicalize(full) != canonicalize(sub)
+        assert full.canonical() != sub.canonical()
 
 
 class TestHash:
