@@ -18,12 +18,13 @@ from .arborescence import (
     max_edge_disjoint_packing,
     peel_edge_disjoint,
 )
-from .errors import CfsigError, MalformedPlaintextError, ScenarioError
+from .errors import CfsigError, InvalidKeyError, MalformedPlaintextError, ScenarioError
 from .matcher import Outcome, match_signatures
 from .replica import ClusterConfig, Scenario, parse_scenario_file, run_cluster_scenario
 from .signature import (
     Cipher,
     HashAlgorithm,
+    _check_key,
     build_signature,
     decrypt,
     encrypt,
@@ -140,6 +141,12 @@ def _read_reference_times(path: Path) -> dict[str, float]:
 
 
 def cmd_bench(args) -> int:
+    cipher = Cipher(args.cipher)
+    try:
+        _check_key(cipher, args.key)
+    except InvalidKeyError as exc:
+        print(f"error: --key: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     corpus = Path(args.corpus)
     fixtures = sorted(
         p for p in corpus.glob("*") if p.suffix in (".dot", ".graphml")
@@ -154,7 +161,6 @@ def cmd_bench(args) -> int:
         return EXIT_BAD_INPUT
 
     algorithm = HashAlgorithm(args.alg.upper())
-    cipher = Cipher(args.cipher)
     rows = []
     for path in fixtures:
         try:
@@ -228,12 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cfsig",
         description="Control-flow process signatures and replica-cluster tamper detection",
     )
-    parser.add_argument("--alg", default="MD5", choices=["MD5", "SHA1", "SHA256", "md5", "sha1", "sha256"])
-    parser.add_argument("--key", type=int, default=7)
-    parser.add_argument("--cipher", default="ShiftByte", choices=[c.value for c in Cipher])
+    # Each option lives only on the subcommands that read it.
+    alg = argparse.ArgumentParser(add_help=False)
+    alg.add_argument("--alg", default="MD5", choices=["MD5", "SHA1", "SHA256", "md5", "sha1", "sha256"])
+    crypto = argparse.ArgumentParser(add_help=False)
+    crypto.add_argument("--key", type=int, default=7)
+    crypto.add_argument("--cipher", default="ShiftByte", choices=[c.value for c in Cipher])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sign", help="derive a signature file from a CFG export")
+    p = sub.add_parser("sign", parents=[alg], help="derive a signature file from a CFG export")
     p.add_argument("input")
     p.add_argument("--out")
     p.add_argument("--prune-unreachable", action="store_true")
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bench", help="per-phase timing report over a fixture corpus")
+    p = sub.add_parser("bench", parents=[alg, crypto], help="per-phase timing report over a fixture corpus")
     p.add_argument("corpus")
     p.add_argument("--reference", help="file of label=<exec seconds> lines")
     p.add_argument("--csv", help="write machine-readable report here")

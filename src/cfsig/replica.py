@@ -1,9 +1,10 @@
 """Replica-cluster simulation: profile, exchange signatures, vote, conclude.
 
-Every replica profiles its own copy of the program, broadcasts the encrypted
-signature to all peers, matches what it receives against its local version,
-and shares its votes. A tampered replica is isolated when a strict majority
-of participating nodes vote Mismatch against it.
+Every replica signs the scenario's graph value (the tampered node, the
+tampered graph), broadcasts the encrypted signature to all peers, matches
+what it receives against its local version, and shares its votes. A tampered
+replica is isolated when a strict majority of live nodes vote Mismatch
+against it.
 
 One phase engine runs the round's four phases (profile, signature, vote,
 tally): it runs a per-node action on each live node in id order (a dead node
@@ -22,7 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-# parse_graphml is unused here, but perfbench's traced run patches replica.parse_graphml.
+# parse_dot, parse_graphml and serialize_dot are unused here, but perfbench's
+# traced run patches them on this module.
 from .cfg import ControlFlowGraph, Mutation, load_graph, mutate, parse_dot, parse_graphml, serialize_dot, validate_cfg
 from .arborescence import peel_edge_disjoint
 from .errors import CfsigError, InvalidKeyError, MalformedPlaintextError, ScenarioError, TransportError
@@ -131,7 +133,6 @@ class Verdict:
 @dataclass(frozen=True)
 class ConsensusRound:
     process_label: str
-    local_digests: dict[NodeId, tuple[str, ...] | None]
     votes: tuple[VoteMessage, ...]
     verdict: Verdict
 
@@ -155,11 +156,11 @@ class ClusterConfig:
             raise ScenarioError(f"unknown transport {self.transport!r}")
 
 
-def conclude_round(n_participating: int, votes: list[VoteMessage]) -> Verdict:
+def conclude_round(n_live: int, votes: list[VoteMessage]) -> Verdict:
     """Per-subject strict-majority tally with fail-safe Inconclusive.
 
-    A node lands in the intrusion set when more than half of the
-    participating nodes voted Mismatch against it. Mismatch votes that form
+    A node lands in the intrusion set when more than half of the *n_live*
+    live nodes voted Mismatch against it. Mismatch votes that form
     no majority anywhere escalate to Inconclusive rather than being dropped.
     """
     mismatch_voters: dict[NodeId, set[NodeId]] = {}
@@ -171,7 +172,7 @@ def conclude_round(n_participating: int, votes: list[VoteMessage]) -> Verdict:
     flagged = frozenset(
         subject
         for subject, voters in mismatch_voters.items()
-        if len(voters) * 2 > n_participating
+        if len(voters) * 2 > n_live
     )
     if flagged:
         return Verdict("IntrusionAt", flagged)
@@ -190,32 +191,18 @@ class ReplicaNode:
         self.id = node_id
         self.config = config
         self.signatures: dict[str, ProcessSignature] = {}
-        self.profiling_failed: dict[str, str] = {}
         self.decrypt_failures: list[tuple[NodeId, str]] = []
         self.votes: list[VoteMessage] = []  # cast by this node and received from peers
 
-    def run_profiling(self, process_label: str, cfg_text: str) -> ProcessSignature | None:
-        """Parse DOT, validate, peel, and hash; cache the signature per process."""
-        try:
-            graph = parse_dot(cfg_text)
-            report = validate_cfg(graph)
-            if not report.ok:
-                raise CfsigError(
-                    "invalid CFG: " + ", ".join(str(v) for v in report.violations)
-                )
-            sig = build_signature(peel_edge_disjoint(graph), self.config.algorithm, process_label)
-        except CfsigError as exc:
-            self.profiling_failed[process_label] = str(exc)
-            return None
+    def run_profiling(self, process_label: str, graph: ControlFlowGraph) -> ProcessSignature:
+        """Peel and hash a valid graph; cache the signature per process."""
+        sig = build_signature(peel_edge_disjoint(graph), self.config.algorithm, process_label)
         self.signatures[process_label] = sig
         return sig
 
-    def envelope(self, process_label: str) -> bytes | None:
-        """The encoded signature frame this node broadcasts; None when profiling failed."""
-        sig = self.signatures.get(process_label)
-        if sig is None:
-            return None
-        enc = encrypt(sig, self.config.cipher, self.config.key)
+    def envelope(self, process_label: str) -> bytes:
+        """The encoded signature frame this node broadcasts."""
+        enc = encrypt(self.signatures[process_label], self.config.cipher, self.config.key)
         return envelope_frame(self.id, enc).encode()
 
     def handle_envelope(
@@ -227,11 +214,7 @@ class ReplicaNode:
         except MalformedPlaintextError as exc:
             self.decrypt_failures.append((sender, str(exc)))
             return VoteMessage(self.id, sender, Outcome.MISMATCH)
-        local = self.signatures.get(process_label)
-        if local is None:
-            self.decrypt_failures.append((sender, "no local signature"))
-            return VoteMessage(self.id, sender, Outcome.MISMATCH)
-        verdict = match_signatures(local, remote)
+        verdict = match_signatures(self.signatures[process_label], remote)
         return VoteMessage(self.id, sender, verdict.outcome)
 
 
@@ -334,10 +317,23 @@ class SocketTransport(Transport):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One round's input; ScenarioError unless the graph is a valid CFG and the tamper applies."""
+
     process_label: str
     graph: ControlFlowGraph
     tamper: tuple[NodeId, Mutation] | None = None
     dead: NodeId | None = None
+    tampered_graph: ControlFlowGraph | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        report = validate_cfg(self.graph)
+        if not report.ok:
+            raise ScenarioError("invalid CFG: " + ", ".join(str(v) for v in report.violations))
+        if self.tamper is not None:
+            try:
+                object.__setattr__(self, "tampered_graph", mutate(self.graph, self.tamper[1]))
+            except CfsigError as exc:
+                raise ScenarioError(f"bad tamper spec: {exc}") from exc
 
 
 def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
@@ -391,7 +387,6 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
         try:
             tamper_node = int(node_text)
             mutation = Mutation.parse(mut_text)
-            mutate(graph, mutation)
         except (ValueError, CfsigError) as exc:
             raise ScenarioError(f"bad tamper spec: {exc}") from exc
         if not 0 <= tamper_node < n:
@@ -475,23 +470,18 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
         phase_seconds[name] = time.perf_counter() - t0
 
     def profile(node: ReplicaNode):
-        graph = scenario.graph
-        if scenario.tamper is not None and scenario.tamper[0] == node.id:
-            graph = mutate(graph, scenario.tamper[1])
-        node.run_profiling(label, serialize_dot(graph))
+        tampered = scenario.tamper is not None and scenario.tamper[0] == node.id
+        node.run_profiling(label, scenario.tampered_graph if tampered else scenario.graph)
         return []
 
     def signature(node: ReplicaNode):
-        frame_bytes = node.envelope(label)
-        return [] if frame_bytes is None else [("", frame_bytes)]
+        return [("", node.envelope(label))]
 
     def vote(node: ReplicaNode):
         frames = sorted(
             (decode_frame(b) for b in transport.drain(node.id)),
             key=lambda f: f.sender,
         )
-        if label not in node.signatures:
-            return []  # profiling failed: abstain from voting
         votes = [
             node.handle_envelope(label, frame.sender, envelope_from_frame(frame))
             for frame in frames
@@ -514,26 +504,18 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
             outcome = Outcome.MATCH if frame.payload[0] == 0 else Outcome.MISMATCH
             node.votes.append(VoteMessage(frame.sender, frame.subject, outcome))
         votes = sorted(set(node.votes), key=lambda v: (v.sender, v.subject))
-        verdict = conclude_round(len(participating), votes)
-        rounds[node.id] = ConsensusRound(label, local_digests, tuple(votes), verdict)
+        verdict = conclude_round(len(live), votes)
+        rounds[node.id] = ConsensusRound(label, tuple(votes), verdict)
         return []
 
     try:
         run_phase("profile", profile)
-        local_digests: dict[NodeId, tuple[str, ...] | None] = {}
         for node in nodes:
-            sig = node.signatures.get(label)
-            local_digests[node.id] = sig.digests if sig else None
-            if node.id == scenario.dead:
-                status = "silent"
-            elif sig is None:
-                status = "failed"
-            else:
-                status = f"ok digests={len(sig.digests)}"
+            sig = node.signatures.get(label)  # None only for the dead node
+            status = "silent" if sig is None else f"ok digests={len(sig.digests)}"
             transcript.append(f"profile node={node.id} status={status}")
         run_phase("signature", signature)
         run_phase("vote", vote)
-        participating = [node.id for node in live if local_digests[node.id] is not None]
         run_phase("tally", tally)
     finally:
         transport.close()

@@ -6,6 +6,7 @@ report lines.
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
@@ -76,6 +77,9 @@ def test_oracle_equivalence_on_random_corpus():
 
 
 def test_signing_determinism_across_processes(tmp_path):
+    # The subprocess does not see pytest's pythonpath setting, so src/ goes on its PYTHONPATH.
+    paths = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     diffs = 0
     for fixture in ALL_FIXTURES:
         outputs = []
@@ -85,6 +89,7 @@ def test_signing_determinism_across_processes(tmp_path):
                 [sys.executable, "-m", "cfsig", "sign", str(fixture), "--out", str(out)],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())

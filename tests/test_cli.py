@@ -28,8 +28,11 @@ class TestUsage:
         [
             [],
             ["simulate"],
-            ["--alg", "XX", "sign", "g.dot"],
+            ["sign", "--alg", "XX", "g.dot"],
             ["simulate", "s.scn", "--threaded"],
+            ["simulate", "s.scn", "--alg", "SHA256"],
+            ["--alg", "SHA256", "simulate", "s.scn"],
+            ["--cipher", "XorStream", "--key", "9", "simulate", "s.scn"],
         ],
     )
     def test_usage_error_exit_1(self, capsys, argv):
@@ -52,9 +55,7 @@ class TestSign:
         assert out_path.read_bytes().startswith(b"cfsig/1\nalg:MD5\nlabel:diamond\n")
 
     def test_sign_sha256(self, capsys, corpus):
-        code, _, _ = run_cli(
-            capsys, "--alg", "SHA256", "sign", str(corpus / "diamond.dot")
-        )
+        code, _, _ = run_cli(capsys, "sign", "--alg", "SHA256", str(corpus / "diamond.dot"))
         assert code == 0
         digest_line = (corpus / "diamond.sig").read_text().splitlines()[4]
         assert len(digest_line) == 64
@@ -188,6 +189,14 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(tmp_path))
         assert code == 1
         assert err.startswith("error: unreachable.dot: invalid CFG")
+
+    @pytest.mark.parametrize(
+        "argv", [["--key", "0"], ["--key", "300"], ["--cipher", "XorStream", "--key", "-1"]]
+    )
+    def test_bad_key_exit_1(self, capsys, fixtures_dir, argv):
+        code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --key: ") and ".dot" not in err
 
     def test_empty_corpus_exit_5(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "bench", str(tmp_path))

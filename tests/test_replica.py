@@ -16,6 +16,7 @@ from cfsig import (
     Scenario,
     build_signature,
     encrypt,
+    parse_dot,
     parse_scenario_file,
     peel_edge_disjoint,
     run_cluster_scenario,
@@ -76,21 +77,15 @@ class TestFraming:
 
 
 class TestNode:
-    def test_profiling_matches_library_pipeline(self, fixtures_dir, diamond):
+    def test_profiling_matches_library_pipeline(self, diamond):
         node = ReplicaNode(0, ClusterConfig(n=3))
-        sig = node.run_profiling("diamond", (fixtures_dir / "diamond.dot").read_text())
+        sig = node.run_profiling("diamond", diamond)
         assert sig == build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "diamond")
 
-    def test_profiling_failure_recorded(self):
-        node = ReplicaNode(0, ClusterConfig(n=3))
-        assert node.run_profiling("bad", "digraph g { B1 -> ; }") is None
-        assert "bad" in node.profiling_failed
-        assert node.envelope("bad") is None
-
-    def test_handle_envelope_corrupted_payload(self, fixtures_dir):
+    def test_handle_envelope_corrupted_payload(self, diamond):
         config = ClusterConfig(n=3)
         node = ReplicaNode(0, config)
-        node.run_profiling("diamond", (fixtures_dir / "diamond.dot").read_text())
+        node.run_profiling("diamond", diamond)
         enc = encrypt(node.signatures["diamond"], config.cipher, config.key)
         bad = type(enc)(enc.cipher, enc.key_id, b"\x00" + enc.payload[1:])
         vote = node.handle_envelope("diamond", 1, bad)
@@ -99,6 +94,20 @@ class TestNode:
 
 
 class TestScenarios:
+    @pytest.mark.parametrize(
+        "text,tamper",
+        [
+            (UNREACHABLE_DOT, None),
+            ("digraph g { B1 [entry=true]; B1 -> B2; B2 -> B2; }", None),
+            (None, (1, Mutation.remove_node("B1"))),
+        ],
+        ids=["unreachable", "self-loop", "remove-entry"],
+    )
+    def test_invalid_scenario_raises(self, diamond, text, tamper):
+        graph = diamond if text is None else parse_dot(text)
+        with pytest.raises(ScenarioError):
+            Scenario("bad", graph, tamper=tamper)
+
     def test_clean_round(self, diamond):
         result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
         assert result.consensus.verdict.kind == "Clean"
