@@ -270,9 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The subcommands that take each option, named when the option comes first.
+OPTION_HOMES = {"--alg": "'sign' or 'bench'", "--cipher": "'bench'", "--key": "'bench'"}
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        first = argv[0].partition("=")[0] if argv else ""
+        if first in OPTION_HOMES:
+            parser.error(f"{first} belongs after {OPTION_HOMES[first]}")
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, but 2 means mismatch here
         return EXIT_BAD_INPUT if exc.code == 2 else exc.code
     return args.func(args)

@@ -15,9 +15,9 @@ starts, so the transcript is a deterministic function of (config, scenario).
 
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -48,8 +48,8 @@ MSG_VOTE = 2
 NO_SUBJECT = 0xFFFF
 _HEADER = struct.Struct("!4sBHHI")
 
-# Bounds connecting to a peer, reading a frame from one and waiting for a phase's
-# frames to be delivered, so a silent peer cannot block a receiver or a round.
+# Bounds connecting to a peer and waiting for a phase's frames to be delivered,
+# so a silent peer cannot block a round.
 SOCKET_TIMEOUT_S = 2.0
 
 
@@ -154,6 +154,9 @@ class ClusterConfig:
             raise ScenarioError(str(exc)) from exc
         if self.transport not in ("inprocess", "socket"):
             raise ScenarioError(f"unknown transport {self.transport!r}")
+        if self.transport == "socket" and (self.n - 1) ** 2 > socket.SOMAXCONN:
+            # A phase's (n-1)**2 vote frames to one node wait in its accept queue together.
+            raise ScenarioError(f"socket transport needs (n-1)**2 <= {socket.SOMAXCONN}, got n={self.n}")
 
 
 def conclude_round(n_live: int, votes: list[VoteMessage]) -> Verdict:
@@ -169,14 +172,8 @@ def conclude_round(n_live: int, votes: list[VoteMessage]) -> Verdict:
             mismatch_voters.setdefault(v.subject, set()).add(v.sender)
     if not mismatch_voters:
         return Verdict("Clean")
-    flagged = frozenset(
-        subject
-        for subject, voters in mismatch_voters.items()
-        if len(voters) * 2 > n_live
-    )
-    if flagged:
-        return Verdict("IntrusionAt", flagged)
-    return Verdict("Inconclusive")
+    flagged = frozenset(s for s, voters in mismatch_voters.items() if len(voters) * 2 > n_live)
+    return Verdict("IntrusionAt", flagged) if flagged else Verdict("Inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -190,31 +187,28 @@ class ReplicaNode:
     def __init__(self, node_id: NodeId, config: ClusterConfig):
         self.id = node_id
         self.config = config
-        self.signatures: dict[str, ProcessSignature] = {}
+        self.signature: ProcessSignature | None = None  # None until profiled; a dead node never is
         self.decrypt_failures: list[tuple[NodeId, str]] = []
         self.votes: list[VoteMessage] = []  # cast by this node and received from peers
 
     def run_profiling(self, process_label: str, graph: ControlFlowGraph) -> ProcessSignature:
-        """Peel and hash a valid graph; cache the signature per process."""
-        sig = build_signature(peel_edge_disjoint(graph), self.config.algorithm, process_label)
-        self.signatures[process_label] = sig
-        return sig
+        """Peel and hash a valid graph; keep the signature as this node's own."""
+        self.signature = build_signature(peel_edge_disjoint(graph), self.config.algorithm, process_label)
+        return self.signature
 
-    def envelope(self, process_label: str) -> bytes:
+    def envelope(self) -> bytes:
         """The encoded signature frame this node broadcasts."""
-        enc = encrypt(self.signatures[process_label], self.config.cipher, self.config.key)
+        enc = encrypt(self.signature, self.config.cipher, self.config.key)
         return envelope_frame(self.id, enc).encode()
 
-    def handle_envelope(
-        self, process_label: str, sender: NodeId, payload: EncryptedSignature
-    ) -> VoteMessage:
+    def handle_envelope(self, sender: NodeId, payload: EncryptedSignature) -> VoteMessage:
         """Decrypt and match a peer signature against the local version."""
         try:
             remote = decrypt(payload, self.config.key)
         except MalformedPlaintextError as exc:
             self.decrypt_failures.append((sender, str(exc)))
             return VoteMessage(self.id, sender, Outcome.MISMATCH)
-        verdict = match_signatures(self.signatures[process_label], remote)
+        verdict = match_signatures(self.signature, remote)
         return VoteMessage(self.id, sender, verdict.outcome)
 
 
@@ -224,25 +218,15 @@ class ReplicaNode:
 
 
 class Transport:
-    """Per-node inboxes of received frames; subclasses implement ``send``."""
+    """Per-node inboxes of received frames; subclasses implement ``send`` and ``wait_for``."""
 
     def __init__(self, n: int):
         self._inboxes: dict[NodeId, list[bytes]] = {i: [] for i in range(n)}
-        self._lock = threading.Lock()
-
-    def _deliver(self, receiver: NodeId, frame_bytes: bytes) -> None:
-        with self._lock:
-            self._inboxes[receiver].append(frame_bytes)
 
     def drain(self, receiver: NodeId) -> list[bytes]:
-        with self._lock:
-            out = self._inboxes[receiver]
-            self._inboxes[receiver] = []
+        out = self._inboxes[receiver]
+        self._inboxes[receiver] = []
         return out
-
-    def pending(self, receiver: NodeId) -> int:
-        with self._lock:
-            return len(self._inboxes[receiver])
 
     def close(self) -> None:
         pass
@@ -252,42 +236,31 @@ class InProcessTransport(Transport):
     """Deterministic per-node FIFO queues; never fails."""
 
     def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
-        self._deliver(receiver, frame_bytes)
+        self._inboxes[receiver].append(frame_bytes)
+
+    def wait_for(self, counts: dict[NodeId, int], timeout: float) -> None:
+        pass  # send delivers at once
 
 
 class SocketTransport(Transport):
-    """Loopback TCP transport; one connection per frame, length-framed."""
+    """Loopback TCP transport; one connection per frame, which ends at EOF.
+
+    Nothing reads the listeners in the background: a sent frame waits in its
+    receiver's accept queue until the round calls ``wait_for``.
+    """
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._servers = []
+        self._selector = selectors.DefaultSelector()
         self.ports: dict[NodeId, int] = {}
         for i in range(n):
             srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            srv.setblocking(False)
+            self._selector.register(srv, selectors.EVENT_READ, (i, None))
             srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             srv.bind(("127.0.0.1", 0))
-            srv.listen(16)
+            srv.listen((n - 1) ** 2)  # the frames one node receives in one phase
             self.ports[i] = srv.getsockname()[1]
-            thread = threading.Thread(target=self._serve, args=(i, srv), daemon=True)
-            thread.start()
-            self._servers.append((srv, thread))
-
-    def _serve(self, node: NodeId, srv) -> None:
-        while True:
-            try:
-                conn, _ = srv.accept()
-            except OSError:
-                return  # close() shut the listener down
-            chunks = []
-            with conn:
-                conn.settimeout(SOCKET_TIMEOUT_S)
-                try:
-                    while data := conn.recv(65536):
-                        chunks.append(data)
-                except OSError:
-                    continue  # silent or broken peer: drop its partial frame
-            if chunks:
-                self._deliver(node, b"".join(chunks))
 
     def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
         try:
@@ -298,16 +271,45 @@ class SocketTransport(Transport):
         except OSError as exc:
             raise TransportError(f"peer {receiver} unreachable: {exc}") from exc
 
+    def wait_for(self, counts: dict[NodeId, int], timeout: float) -> None:
+        """Accept and read until each receiver's inbox holds its count, or *timeout* passes."""
+        deadline = time.monotonic() + timeout
+        while any(len(self._inboxes[r]) < c for r, c in counts.items()):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            for key, _ in self._selector.select(remaining):
+                node, chunks = key.data
+                if chunks is None:
+                    self._accept(key.fileobj, node)
+                else:
+                    self._read(key.fileobj, node, chunks)
+
+    def _accept(self, srv: socket.socket, node: NodeId) -> None:
+        try:
+            conn, _ = srv.accept()
+        except OSError:
+            return  # the peer gave up before it was accepted
+        conn.setblocking(False)
+        self._selector.register(conn, selectors.EVENT_READ, (node, []))
+
+    def _read(self, conn: socket.socket, node: NodeId, chunks: list[bytes]) -> None:
+        try:
+            if data := conn.recv(65536):
+                chunks.append(data)
+                return
+        except OSError:
+            chunks.clear()  # a broken peer loses its partial frame
+        self._selector.unregister(conn)
+        conn.close()
+        if chunks:
+            self._inboxes[node].append(b"".join(chunks))
+
     def close(self) -> None:
-        for srv, _ in self._servers:
-            try:
-                # Closing alone leaves _serve blocked in accept(); shutdown wakes it.
-                srv.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            srv.close()
-        for _, thread in self._servers:  # after every shutdown, so the threads exit together
-            thread.join(SOCKET_TIMEOUT_S)  # no accept thread outlives the round
+        """Close every listener and every connection still open, e.g. a silent peer's."""
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +361,7 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
             raise ScenarioError(f"bad scenario line {line!r}")
         fields[key.strip()] = value.strip()
 
-    known = {"n", "fixture", "tamper", "alg", "cipher", "key", "dead"}
-    unknown = set(fields) - known
+    unknown = set(fields) - {"n", "fixture", "tamper", "alg", "cipher", "key", "dead"}
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     try:
@@ -385,13 +386,9 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
         if not sep:
             raise ScenarioError("tamper must look like <node>:<mutation-spec>")
         try:
-            tamper_node = int(node_text)
-            mutation = Mutation.parse(mut_text)
+            tamper = (int(node_text), Mutation.parse(mut_text))
         except (ValueError, CfsigError) as exc:
             raise ScenarioError(f"bad tamper spec: {exc}") from exc
-        if not 0 <= tamper_node < n:
-            raise ScenarioError(f"tamper node {tamper_node} out of range for n={n}")
-        tamper = (tamper_node, mutation)
 
     try:
         dead = int(fields["dead"]) if "dead" in fields else None
@@ -403,8 +400,6 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
         )
     except ValueError as exc:
         raise ScenarioError(f"bad scenario value: {exc}") from exc
-    if dead is not None and not 0 <= dead < n:
-        raise ScenarioError(f"dead node {dead} out of range for n={n}")
     return config, Scenario(fixture_path.stem, graph, tamper, dead)
 
 
@@ -427,6 +422,10 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
     phase: profile, signature, vote, tally.
     """
     n = config.n
+    tamper_node = None if scenario.tamper is None else scenario.tamper[0]
+    for role, node_id in (("tamper", tamper_node), ("dead", scenario.dead)):
+        if node_id is not None and not 0 <= node_id < n:
+            raise ScenarioError(f"{role} node {node_id} out of range for n={n}")
     label = scenario.process_label
     nodes = [ReplicaNode(i, config) for i in range(n)]
 
@@ -436,9 +435,7 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
     ]
     phase_seconds: dict[str, float] = {}
     live = [node for node in nodes if node.id != scenario.dead]
-    transport = (
-        SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
-    )
+    transport = SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
 
     def run_phase(name: str, action: Callable[[ReplicaNode], list[tuple[str, bytes]]]) -> None:
         """Run *action* on each live node, then broadcast what each returned and wait.
@@ -462,28 +459,20 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
                         continue
                     delivered[receiver] = delivered.get(receiver, 0) + 1
                     transcript.append(f"{line} {detail}hex={frame_bytes.hex()}")
-        deadline = time.monotonic() + SOCKET_TIMEOUT_S
-        while any(transport.pending(r) < c for r, c in delivered.items()):
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(0.005)
+        transport.wait_for(delivered, SOCKET_TIMEOUT_S)
         phase_seconds[name] = time.perf_counter() - t0
 
     def profile(node: ReplicaNode):
-        tampered = scenario.tamper is not None and scenario.tamper[0] == node.id
-        node.run_profiling(label, scenario.tampered_graph if tampered else scenario.graph)
+        node.run_profiling(label, scenario.tampered_graph if node.id == tamper_node else scenario.graph)
         return []
 
     def signature(node: ReplicaNode):
-        return [("", node.envelope(label))]
+        return [("", node.envelope())]
 
     def vote(node: ReplicaNode):
-        frames = sorted(
-            (decode_frame(b) for b in transport.drain(node.id)),
-            key=lambda f: f.sender,
-        )
+        frames = sorted(map(decode_frame, transport.drain(node.id)), key=lambda f: f.sender)
         votes = [
-            node.handle_envelope(label, frame.sender, envelope_from_frame(frame))
+            node.handle_envelope(frame.sender, envelope_from_frame(frame))
             for frame in frames
             if frame.msg_type == MSG_ENVELOPE
         ]
@@ -511,7 +500,7 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
     try:
         run_phase("profile", profile)
         for node in nodes:
-            sig = node.signatures.get(label)  # None only for the dead node
+            sig = node.signature  # None only for the dead node
             status = "silent" if sig is None else f"ok digests={len(sig.digests)}"
             transcript.append(f"profile node={node.id} status={status}")
         run_phase("signature", signature)

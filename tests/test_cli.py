@@ -40,6 +40,20 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.startswith("usage: cfsig") and "error: " in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--alg", "SHA256", "simulate", "s.scn"], "--alg belongs after 'sign' or 'bench'"),
+            (["--alg=SHA256", "sign", "g.dot"], "--alg belongs after 'sign' or 'bench'"),
+            (["--cipher", "XorStream", "--key", "9", "simulate", "s.scn"], "--cipher belongs after 'bench'"),
+            (["--key", "9", "bench", "corpus"], "--key belongs after 'bench'"),
+        ],
+    )
+    def test_misplaced_option_names_its_subcommand(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: cfsig") and err.endswith(f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
     def test_help_exit_0(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
@@ -129,6 +143,8 @@ class TestSimulate:
         "text",
         [
             "n=3\nfixture=diamond.dot\ndead=x\n",
+            "n=3\nfixture=diamond.dot\ntamper=7:RemoveEdge:B2>B4\n",
+            "n=3\nfixture=diamond.dot\ndead=3\n",
             "n=3\nfixture=diamond.dot\ntamper=1:RemoveEdge:B4>B1\n",
             "n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n",
             "n=3\nfixture=unreachable.dot\n",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -36,6 +37,14 @@ from cfsig.replica import (
 )
 
 from .conftest import FIXTURES, UNREACHABLE_DOT, fixture_graphs
+
+
+def open_fds() -> int | None:
+    """This process's open file descriptors; None off Linux, where the check is skipped."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
 
 
 class TestFraming:
@@ -86,9 +95,9 @@ class TestNode:
         config = ClusterConfig(n=3)
         node = ReplicaNode(0, config)
         node.run_profiling("diamond", diamond)
-        enc = encrypt(node.signatures["diamond"], config.cipher, config.key)
+        enc = encrypt(node.signature, config.cipher, config.key)
         bad = type(enc)(enc.cipher, enc.key_id, b"\x00" + enc.payload[1:])
-        vote = node.handle_envelope("diamond", 1, bad)
+        vote = node.handle_envelope(1, bad)
         assert vote.verdict is Outcome.MISMATCH
         assert node.decrypt_failures
 
@@ -107,6 +116,19 @@ class TestScenarios:
         graph = diamond if text is None else parse_dot(text)
         with pytest.raises(ScenarioError):
             Scenario("bad", graph, tamper=tamper)
+
+    @pytest.mark.parametrize(
+        "tamper,dead",
+        [((7, Mutation.remove_edge("B2", "B4")), None), ((-1, Mutation.remove_edge("B2", "B4")), None),
+         (None, 9), (None, -1)],
+        ids=["tamper=7", "tamper=-1", "dead=9", "dead=-1"],
+    )
+    def test_out_of_range_node_raises_before_transport_opens(self, monkeypatch, diamond, tamper, dead):
+        monkeypatch.setattr(replica, "SocketTransport", None)  # opening one would raise TypeError
+        with pytest.raises(ScenarioError, match="out of range for n=3"):
+            run_cluster_scenario(
+                ClusterConfig(n=3, transport="socket"), Scenario("diamond", diamond, tamper, dead)
+            )
 
     def test_clean_round(self, diamond):
         result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
@@ -189,25 +211,48 @@ class TestSocketTransport:
         with pytest.raises(TransportError):
             transport.send(1, b"CFS1")
 
-    def test_silent_peer_does_not_block_receiver(self, monkeypatch):
-        monkeypatch.setattr(replica, "SOCKET_TIMEOUT_S", 0.1)
+    def test_silent_peer_does_not_block_receiver(self):
         transport = SocketTransport(2)
         try:
             with socket.create_connection(("127.0.0.1", transport.ports[1])):
                 transport.send(1, b"CFS1")
-                deadline = time.monotonic() + 2.0
-                while transport.pending(1) == 0 and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                start = time.monotonic()
+                transport.wait_for({1: 1}, 2.0)
+                assert time.monotonic() - start < replica.SOCKET_TIMEOUT_S
                 assert transport.drain(1) == [b"CFS1"]
         finally:
             transport.close()
 
+    def test_close_ends_a_silent_peers_connection(self):
+        transport = SocketTransport(2)
+        with socket.create_connection(("127.0.0.1", transport.ports[1]), timeout=2.0) as silent:
+            try:
+                transport.send(1, b"CFS1")
+                transport.wait_for({1: 1}, 2.0)  # accepts the silent connection, queued first
+            finally:
+                transport.close()
+            assert silent.recv(1) == b""  # an orderly close, not a reset of an unaccepted connection
+
     def test_rounds_leave_no_threads_behind(self, diamond):
         config = ClusterConfig(n=5, transport="socket")
-        baseline = threading.active_count()
+        threads, fds = threading.active_count(), open_fds()
         for _ in range(20):
             run_cluster_scenario(config, Scenario("diamond", diamond))
-            assert threading.active_count() == baseline  # close() joined the accept threads
+            assert threading.active_count() == threads
+        assert open_fds() == fds  # close() closed every listener and connection
+
+    def test_dead_node_round_is_prompt(self, diamond):
+        start = time.monotonic()
+        result = run_cluster_scenario(
+            ClusterConfig(n=3, transport="socket"), Scenario("diamond", diamond, dead=2)
+        )
+        assert time.monotonic() - start < 1.0
+        assert result.consensus.verdict.kind == "Clean"
+
+    def test_accept_queue_bound_is_checked_at_config(self):
+        ClusterConfig(n=66)  # the in-process transport queues nothing
+        with pytest.raises(ScenarioError, match="n=66"):
+            ClusterConfig(n=66, transport="socket")
 
 
 class TestScenarioFiles:
@@ -248,8 +293,10 @@ class TestScenarioFiles:
         (tmp_path / "unreachable.dot").write_text(UNREACHABLE_DOT)
         scn = tmp_path / "bad.scn"
         scn.write_text(text)
-        with pytest.raises(ScenarioError):
-            parse_scenario_file(scn)
+        with pytest.raises(ScenarioError) as rejected:
+            run_cluster_scenario(*parse_scenario_file(scn))
+        # Only node ranges, which need the round's n, are left to the round to check.
+        assert ("out of range for n=3" in str(rejected.value)) == ("tamper=7:" in text)
 
 
 class TestGoldenTranscripts:
