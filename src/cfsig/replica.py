@@ -8,9 +8,11 @@ against it.
 
 One phase engine runs the round's four phases (profile, signature, vote,
 tally): it runs a per-node action on each live node in id order (a dead node
-runs none), sends every frame an action returned to every peer in (sender,
+runs none), sends the one frame an action may return to every peer in (sender,
 receiver) order, logs each frame and waits for delivery before the next phase
 starts, so the transcript is a deterministic function of (config, scenario).
+A receiver drops, and logs, any frame it cannot decode or that names an
+impossible node id, and the round goes on without it.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ NodeId = int
 FRAME_MAGIC = b"CFS1"
 MSG_ENVELOPE = 1
 MSG_VOTE = 2
-NO_SUBJECT = 0xFFFF
-_HEADER = struct.Struct("!4sBHHI")
+_HEADER = struct.Struct("!4sBHI")  # magic, message type, sender, payload length
+_VOTE = struct.Struct("!HB")  # subject, verdict (1 for Mismatch)
 
 # Bounds connecting to a peer and waiting for a phase's frames to be delivered,
 # so a silent peer cannot block a round.
@@ -62,45 +64,56 @@ SOCKET_TIMEOUT_S = 2.0
 class Frame:
     msg_type: int
     sender: NodeId
-    subject: NodeId | None
     payload: bytes
 
     def encode(self) -> bytes:
-        subject = NO_SUBJECT if self.subject is None else self.subject
-        return _HEADER.pack(
-            FRAME_MAGIC, self.msg_type, self.sender, subject, len(self.payload)
-        ) + self.payload
+        return _HEADER.pack(FRAME_MAGIC, self.msg_type, self.sender, len(self.payload)) + self.payload
 
 
 def decode_frame(data: bytes) -> Frame:
     if len(data) < _HEADER.size:
         raise TransportError("frame shorter than header")
-    magic, msg_type, sender, subject, length = _HEADER.unpack_from(data)
+    magic, msg_type, sender, length = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise TransportError(f"bad frame magic {magic!r}")
     if len(data) != _HEADER.size + length:
         raise TransportError("frame length mismatch")
     if msg_type not in (MSG_ENVELOPE, MSG_VOTE):
         raise TransportError(f"unknown message type {msg_type}")
-    payload = data[_HEADER.size:]
-    return Frame(msg_type, sender, None if subject == NO_SUBJECT else subject, payload)
+    return Frame(msg_type, sender, data[_HEADER.size:])
 
 
 def envelope_frame(sender: NodeId, enc: EncryptedSignature) -> Frame:
     payload = bytes([enc.cipher.wire_tag, enc.key_id & 0xFF]) + enc.payload
-    return Frame(MSG_ENVELOPE, sender, None, payload)
+    return Frame(MSG_ENVELOPE, sender, payload)
 
 
-def vote_frame(sender: NodeId, subject: NodeId, outcome: Outcome) -> Frame:
-    verdict_byte = 0 if outcome is Outcome.MATCH else 1
-    return Frame(MSG_VOTE, sender, subject, bytes([verdict_byte]))
+def vote_frame(sender: NodeId, votes: list[VoteMessage]) -> Frame:
+    """All of *sender*'s votes in one frame: a (subject, verdict) pair each, in the given order."""
+    payload = b"".join(_VOTE.pack(v.subject, v.verdict is Outcome.MISMATCH) for v in votes)
+    return Frame(MSG_VOTE, sender, payload)
 
 
 def envelope_from_frame(frame: Frame) -> EncryptedSignature:
     if frame.msg_type != MSG_ENVELOPE or len(frame.payload) < 2:
         raise TransportError("not a signature envelope frame")
-    cipher = Cipher.from_wire_tag(frame.payload[0])
+    try:
+        cipher = Cipher.from_wire_tag(frame.payload[0])
+    except MalformedPlaintextError as exc:
+        raise TransportError(str(exc)) from exc
     return EncryptedSignature(cipher, frame.payload[1], frame.payload[2:])
+
+
+def votes_from_frame(frame: Frame) -> list[VoteMessage]:
+    if frame.msg_type != MSG_VOTE or len(frame.payload) % _VOTE.size:
+        raise TransportError("not a vote frame")
+    try:
+        return [
+            VoteMessage(frame.sender, subject, Outcome.MISMATCH if verdict else Outcome.MATCH)
+            for subject, verdict in _VOTE.iter_unpack(frame.payload)
+        ]
+    except ValueError as exc:  # a vote about the sender itself
+        raise TransportError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +145,6 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ConsensusRound:
-    process_label: str
     votes: tuple[VoteMessage, ...]
     verdict: Verdict
 
@@ -154,9 +166,9 @@ class ClusterConfig:
             raise ScenarioError(str(exc)) from exc
         if self.transport not in ("inprocess", "socket"):
             raise ScenarioError(f"unknown transport {self.transport!r}")
-        if self.transport == "socket" and (self.n - 1) ** 2 > socket.SOMAXCONN:
-            # A phase's (n-1)**2 vote frames to one node wait in its accept queue together.
-            raise ScenarioError(f"socket transport needs (n-1)**2 <= {socket.SOMAXCONN}, got n={self.n}")
+        if self.transport == "socket" and self.n - 1 > socket.SOMAXCONN:
+            # A phase's n-1 frames to one node wait in its accept queue together.
+            raise ScenarioError(f"socket transport needs n-1 <= {socket.SOMAXCONN}, got n={self.n}")
 
 
 def conclude_round(n_live: int, votes: list[VoteMessage]) -> Verdict:
@@ -205,7 +217,7 @@ class ReplicaNode:
         """Decrypt and match a peer signature against the local version."""
         try:
             remote = decrypt(payload, self.config.key)
-        except MalformedPlaintextError as exc:
+        except (InvalidKeyError, MalformedPlaintextError) as exc:  # e.g. a peer on another cipher
             self.decrypt_failures.append((sender, str(exc)))
             return VoteMessage(self.id, sender, Outcome.MISMATCH)
         verdict = match_signatures(self.signature, remote)
@@ -259,7 +271,7 @@ class SocketTransport(Transport):
             self._selector.register(srv, selectors.EVENT_READ, (i, None))
             srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             srv.bind(("127.0.0.1", 0))
-            srv.listen((n - 1) ** 2)  # the frames one node receives in one phase
+            srv.listen(n - 1)  # the frames one node receives in one phase
             self.ports[i] = srv.getsockname()[1]
 
     def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
@@ -437,65 +449,70 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
     live = [node for node in nodes if node.id != scenario.dead]
     transport = SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
 
-    def run_phase(name: str, action: Callable[[ReplicaNode], list[tuple[str, bytes]]]) -> None:
+    def run_phase(name: str, action: Callable[[ReplicaNode], tuple[str, bytes] | None]) -> None:
         """Run *action* on each live node, then broadcast what each returned and wait.
 
-        An action returns (transcript detail, encoded frame) pairs; each frame
-        goes to every peer. Delivery waits at most ``SOCKET_TIMEOUT_S``.
+        An action returns at most one (transcript detail, encoded frame) pair;
+        the frame goes to every peer. Delivery waits at most ``SOCKET_TIMEOUT_S``.
         """
         t0 = time.perf_counter()
-        outboxes = [(node.id, action(node)) for node in live]
+        outboxes = [(node.id, out) for node in live if (out := action(node)) is not None]
         delivered: dict[NodeId, int] = {}
-        for sender, outbox in outboxes:
+        for sender, (detail, frame_bytes) in outboxes:
             for receiver in range(n):
                 if receiver == sender:
                     continue
-                for detail, frame_bytes in outbox:
-                    line = f"frame phase={name} from={sender} to={receiver}"
-                    try:
-                        transport.send(receiver, frame_bytes)
-                    except TransportError as exc:
-                        transcript.append(f"{line} error={exc}")
-                        continue
-                    delivered[receiver] = delivered.get(receiver, 0) + 1
-                    transcript.append(f"{line} {detail}hex={frame_bytes.hex()}")
+                line = f"frame phase={name} from={sender} to={receiver}"
+                try:
+                    transport.send(receiver, frame_bytes)
+                except TransportError as exc:
+                    transcript.append(f"{line} error={exc}")
+                    continue
+                delivered[receiver] = delivered.get(receiver, 0) + 1
+                transcript.append(f"{line} {detail}hex={frame_bytes.hex()}")
         transport.wait_for(delivered, SOCKET_TIMEOUT_S)
         phase_seconds[name] = time.perf_counter() - t0
 
     def profile(node: ReplicaNode):
         node.run_profiling(label, scenario.tampered_graph if node.id == tamper_node else scenario.graph)
-        return []
 
     def signature(node: ReplicaNode):
-        return [("", node.envelope())]
+        return "", node.envelope()
+
+    def receive(node: ReplicaNode, phase: str, parse: Callable[[Frame], object]) -> list:
+        """Parse the frames *node* received in *phase*; drop and log each that fails."""
+        parsed = []
+        for raw in sorted(transport.drain(node.id)):  # frames of one type sort by sender
+            try:
+                frame = decode_frame(raw)
+                if not 0 <= frame.sender < n or frame.sender == node.id:
+                    raise TransportError(f"bad sender {frame.sender}")
+                parsed.append(parse(frame))
+            except TransportError as exc:
+                transcript.append(f"drop phase={phase} node={node.id} reason={exc}")
+        return parsed
+
+    def subject_votes(frame: Frame) -> list[VoteMessage]:
+        votes = votes_from_frame(frame)
+        if any(not 0 <= v.subject < n for v in votes):
+            raise TransportError("vote subject out of range")
+        return votes
 
     def vote(node: ReplicaNode):
-        frames = sorted(map(decode_frame, transport.drain(node.id)), key=lambda f: f.sender)
-        votes = [
-            node.handle_envelope(frame.sender, envelope_from_frame(frame))
-            for frame in frames
-            if frame.msg_type == MSG_ENVELOPE
-        ]
+        envelopes = receive(node, "signature", lambda f: (f.sender, envelope_from_frame(f)))
+        votes = [node.handle_envelope(sender, enc) for sender, enc in envelopes]
         node.votes.extend(votes)
-        return [
-            (f"subject={v.subject} verdict={v.verdict.value} ",
-             vote_frame(v.sender, v.subject, v.verdict).encode())
-            for v in votes
-        ]
+        detail = ",".join(f"{v.subject}:{v.verdict.value}" for v in votes)
+        return f"votes={detail} ", vote_frame(node.id, votes).encode()
 
     rounds: dict[NodeId, ConsensusRound] = {}
 
     def tally(node: ReplicaNode):
-        for raw in transport.drain(node.id):
-            frame = decode_frame(raw)
-            if frame.msg_type != MSG_VOTE or frame.subject is None:
-                continue
-            outcome = Outcome.MATCH if frame.payload[0] == 0 else Outcome.MISMATCH
-            node.votes.append(VoteMessage(frame.sender, frame.subject, outcome))
+        for votes in receive(node, "vote", subject_votes):
+            node.votes.extend(votes)
         votes = sorted(set(node.votes), key=lambda v: (v.sender, v.subject))
         verdict = conclude_round(len(live), votes)
-        rounds[node.id] = ConsensusRound(label, tuple(votes), verdict)
-        return []
+        rounds[node.id] = ConsensusRound(tuple(votes), verdict)
 
     try:
         run_phase("profile", profile)

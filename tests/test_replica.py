@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfsig import (
     Cipher,
@@ -28,12 +30,15 @@ from cfsig.replica import (
     FRAME_MAGIC,
     MSG_ENVELOPE,
     MSG_VOTE,
+    Frame,
+    InProcessTransport,
     SocketTransport,
     VoteMessage,
     decode_frame,
     envelope_frame,
     envelope_from_frame,
     vote_frame,
+    votes_from_frame,
 )
 
 from .conftest import FIXTURES, UNREACHABLE_DOT, fixture_graphs
@@ -55,22 +60,37 @@ class TestFraming:
         assert raw[:4] == FRAME_MAGIC
         assert raw[4] == MSG_ENVELOPE
         assert int.from_bytes(raw[5:7], "big") == 3
-        assert raw[7:9] == b"\xff\xff"  # subject absent
-        assert int.from_bytes(raw[9:13], "big") == len(raw) - 13
-        assert raw[13] == Cipher.SHIFT_BYTE.wire_tag
-        assert raw[14] == 9
+        assert int.from_bytes(raw[7:11], "big") == len(raw) - 11
+        assert raw[11] == Cipher.SHIFT_BYTE.wire_tag
+        assert raw[12] == 9
         decoded = decode_frame(raw)
-        assert decoded.sender == 3 and decoded.subject is None
+        assert decoded.sender == 3
         assert envelope_from_frame(decoded) == enc
 
     def test_vote_frame_layout(self):
-        raw = vote_frame(1, 2, Outcome.MISMATCH).encode()
+        votes = [VoteMessage(1, 0, Outcome.MATCH), VoteMessage(1, 2, Outcome.MISMATCH)]
+        raw = vote_frame(1, votes).encode()
         assert raw[4] == MSG_VOTE
         assert int.from_bytes(raw[5:7], "big") == 1
-        assert int.from_bytes(raw[7:9], "big") == 2
-        assert raw[13] == 1
-        match_raw = vote_frame(1, 2, Outcome.MATCH).encode()
-        assert match_raw[13] == 0
+        assert int.from_bytes(raw[7:11], "big") == 6
+        assert raw[11:] == b"\x00\x00\x00" + b"\x00\x02\x01"  # (subject, 1 for Mismatch) pairs
+        assert votes_from_frame(decode_frame(raw)) == votes
+
+    @given(st.integers(0, 0xFFFF), st.dictionaries(st.integers(0, 0xFFFF), st.sampled_from(Outcome)))
+    @settings(max_examples=200, deadline=None)
+    def test_vote_frame_round_trip(self, sender, verdicts):
+        votes = [VoteMessage(sender, s, v) for s, v in sorted(verdicts.items()) if s != sender]
+        assert votes_from_frame(decode_frame(vote_frame(sender, votes).encode())) == votes
+
+    @given(st.integers(0, 0xFFFF), st.binary(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_payload_raises_only_transport_error(self, sender, payload):
+        for msg_type, parse in ((MSG_VOTE, votes_from_frame), (MSG_ENVELOPE, envelope_from_frame)):
+            for raw in (payload, Frame(msg_type, sender, payload).encode()):
+                try:
+                    parse(decode_frame(raw))
+                except TransportError:
+                    pass
 
     @pytest.mark.parametrize(
         "raw",
@@ -161,13 +181,13 @@ class TestScenarios:
         verdicts = {r.verdict for r in result.rounds_per_node.values()}
         assert len(verdicts) == 1
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_message_complexity(self, diamond, n):
         result = run_cluster_scenario(ClusterConfig(n=n), Scenario("diamond", diamond))
         envelopes = [l for l in result.transcript if "phase=signature" in l]
         votes = [l for l in result.transcript if "phase=vote" in l]
         assert len(envelopes) == n * (n - 1)
-        assert len(votes) == n * (n - 1) ** 2
+        assert len(votes) == n * (n - 1)  # one frame per voter and peer
         # fixed transcript shape: header + n profile lines + frames + verdict
         assert len(result.transcript) == 2 + n + len(envelopes) + len(votes)
 
@@ -250,9 +270,76 @@ class TestSocketTransport:
         assert result.consensus.verdict.kind == "Clean"
 
     def test_accept_queue_bound_is_checked_at_config(self):
-        ClusterConfig(n=66)  # the in-process transport queues nothing
-        with pytest.raises(ScenarioError, match="n=66"):
-            ClusterConfig(n=66, transport="socket")
+        n = socket.SOMAXCONN + 2  # one node receives n-1 frames per phase
+        ClusterConfig(n=n)  # the in-process transport queues nothing
+        ClusterConfig(n=n - 1, transport="socket")  # constructing the config opens no transport
+        with pytest.raises(ScenarioError, match=f"n={n}"):
+            ClusterConfig(n=n, transport="socket")
+
+
+def mangled(msg_type: int, mangle):
+    """An InProcessTransport.send that passes the first frame of *msg_type* through *mangle*."""
+    original = InProcessTransport.send
+    done = []  # set once the frame is mangled
+
+    def send(self, receiver, frame_bytes):
+        if not done and frame_bytes[4] == msg_type:
+            done.append(True)
+            frame_bytes = mangle(frame_bytes, receiver)
+        original(self, receiver, frame_bytes)
+
+    return send
+
+
+def reframed(msg_type: int, payload: bytes, sender: int | None = None):
+    """A mangle that replaces the frame with one of *msg_type*, *payload* and *sender*."""
+    def mangle(raw, receiver):
+        old = decode_frame(raw)
+        return Frame(msg_type, old.sender if sender is None else sender, payload).encode()
+    return mangle
+
+
+class TestDroppedFrames:
+    """A frame a receiver cannot use is dropped and logged; the round still ends CLEAN."""
+
+    @pytest.mark.parametrize(
+        "msg_type,mangle,phase,reason",
+        [
+            (MSG_ENVELOPE, lambda raw, r: raw[:5], "signature", "frame shorter than header"),
+            (MSG_ENVELOPE, lambda raw, r: raw[:-1], "signature", "frame length mismatch"),
+            (MSG_VOTE, lambda raw, r: raw[:-1], "vote", "frame length mismatch"),
+            (MSG_VOTE, lambda raw, r: raw[:5], "vote", "frame shorter than header"),
+            (MSG_ENVELOPE, lambda raw, r: raw[:11] + b"\xee" + raw[12:], "signature", "unknown cipher tag 238"),
+            (MSG_ENVELOPE, lambda raw, r: b"XXXX" + raw[4:], "signature", "bad frame magic"),
+            (MSG_ENVELOPE, lambda raw, r: raw[:4] + b"\x02" + raw[5:], "signature", "not a signature envelope"),
+            (MSG_VOTE, lambda raw, r: raw[:4] + b"\x01" + raw[5:], "vote", "not a vote frame"),
+            (MSG_VOTE, reframed(MSG_VOTE, b"\x00"), "vote", "not a vote frame"),
+            (MSG_VOTE, reframed(MSG_VOTE, b"\x00\x00\x01", sender=0), "vote", "never votes about its own"),
+            (MSG_VOTE, reframed(MSG_VOTE, b"\x00\x07\x01"), "vote", "vote subject out of range"),
+            (MSG_ENVELOPE, reframed(MSG_ENVELOPE, b"\x01\x07", sender=3), "signature", "bad sender 3"),
+            (MSG_VOTE, lambda raw, r: Frame(MSG_VOTE, r, b"").encode(), "vote", "bad sender"),
+        ],
+        ids=["sig-short", "sig-truncated", "vote-truncated", "vote-short", "cipher-tag", "magic",
+             "sig-type", "vote-type", "vote-length", "self-vote", "vote-subject", "sender-range",
+             "own-sender"],
+    )
+    def test_bad_frame_is_dropped(self, monkeypatch, diamond, msg_type, mangle, phase, reason):
+        monkeypatch.setattr(InProcessTransport, "send", mangled(msg_type, mangle))
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
+        drops = [l for l in result.transcript if l.startswith("drop ")]
+        assert len(drops) == 1, drops
+        assert drops[0].startswith(f"drop phase={phase} node=") and reason in drops[0]
+        assert result.consensus.verdict.kind == "Clean"
+
+    def test_peer_on_another_cipher_gets_a_mismatch_vote(self, monkeypatch, diamond):
+        # ShiftByte cannot take key 300, so this envelope cannot even be decrypted.
+        mangle = lambda raw, r: raw[:11] + bytes([Cipher.SHIFT_BYTE.wire_tag]) + raw[12:]
+        monkeypatch.setattr(InProcessTransport, "send", mangled(MSG_ENVELOPE, mangle))
+        config = ClusterConfig(n=3, cipher=Cipher.XOR_STREAM, key=300)
+        result = run_cluster_scenario(config, Scenario("diamond", diamond))
+        assert not any(l.startswith("drop ") for l in result.transcript)
+        assert sum(v.verdict is Outcome.MISMATCH for v in result.consensus.votes) == 1
+        assert result.consensus.verdict.kind == "Inconclusive"
 
 
 class TestScenarioFiles:
