@@ -125,6 +125,18 @@ def prune_unreachable(g: ControlFlowGraph) -> ControlFlowGraph:
     return ControlFlowGraph(keep, edges, g.entry)
 
 
+def read_utf8(path: Path) -> str:
+    """The text of *path* decoded as UTF-8, whatever the locale.
+
+    Raises OSError when the file cannot be read and CfsigError when it is not
+    UTF-8 or its name cannot be encoded for the file system.
+    """
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeError as exc:
+        raise CfsigError(f"cannot read {path} as UTF-8: {exc}") from exc
+
+
 def load_graph(path: str | Path, prune: bool = False) -> ControlFlowGraph:
     """Read a ``.dot`` or ``.graphml`` file and return it as a valid CFG.
 
@@ -139,7 +151,7 @@ def load_graph(path: str | Path, prune: bool = False) -> ControlFlowGraph:
         parse = parse_graphml
     else:
         raise CfsigError(f"unsupported input extension {path.suffix!r}")
-    graph = parse(path.read_text())
+    graph = parse(read_utf8(path))
     report = validate_cfg(graph)
     if not report.ok:
         if prune and all(v.kind == "UnreachableNode" for v in report.violations):
@@ -186,66 +198,22 @@ _DOT_TOKEN = re.compile(
 )
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, col) of *offset* in *text*; only "\\n" ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize_dot(text: str) -> list[_Token]:
-    """Split DOT text into tokens with 1-based positions; only "\\n" ends a line."""
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
+def _tokenize_dot(text: str) -> list[tuple[str, int]]:
+    """Split DOT text into (token, offset) pairs, skipping whitespace and comments."""
+    tokens = []
     for m in _DOT_TOKEN.finditer(text):
-        kind, start = m.lastgroup, m.start()
-        if kind == "skip":
-            newlines = m.group().count("\n")
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, m.end()) + 1
-            continue
-        col = start - line_start + 1
-        if kind == "open":
-            raise GraphSyntaxError("unterminated block comment", line, col)
-        if kind == "bad":
-            raise GraphSyntaxError(f"unexpected character {m.group()!r}", line, col)
-        tokens.append(_Token(m.group(), line, col))
+        kind = m.lastgroup
+        if kind == "token" or kind == "id":
+            tokens.append((m.group(), m.start()))
+        elif kind != "skip":
+            message = "unterminated block comment" if kind == "open" else f"unexpected character {m.group()!r}"
+            raise GraphSyntaxError(message, *_position(text, m.start()))
     return tokens
-
-
-class _DotParser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise GraphSyntaxError(
-                f"unexpected end of input, expected {expected or 'token'}",
-                last.line,
-                last.col,
-            )
-        if expected is not None and tok.text != expected:
-            raise GraphSyntaxError(
-                f"expected {expected!r}, found {tok.text!r}", tok.line, tok.col
-            )
-        self.pos += 1
-        return tok
-
-    def take_id(self) -> _Token:
-        tok = self.take()
-        if tok.text in _DOT_SPECIALS or tok.text == "->":
-            raise GraphSyntaxError(
-                f"expected identifier, found {tok.text!r}", tok.line, tok.col
-            )
-        # The tokenizer's id class admits only what check_block_id accepts.
-        return tok
 
 
 def parse_dot(text: str) -> ControlFlowGraph:
@@ -255,50 +223,63 @@ def parse_dot(text: str) -> ControlFlowGraph:
     declarations (``B1;``, optionally ``B1 [entry=true];``) and edges
     (``B1 -> B2;``). ``//`` and ``/* */`` comments are stripped.
     """
-    p = _DotParser(_tokenize_dot(text))
-    kw = p.take()
-    if kw.text != "digraph":
-        raise GraphSyntaxError(f"expected 'digraph', found {kw.text!r}", kw.line, kw.col)
-    if p.peek() is not None and p.peek().text != "{":
-        p.take_id()  # graph name, ignored
-    p.take("{")
+    tokens: list[tuple[str | None, int]] = _tokenize_dot(text)
+    # An end marker at the last token, where "unexpected end of input" is reported.
+    tokens.append((None, tokens[-1][1] if tokens else 0))
+    i = 0
 
-    nodes: set[BlockId] = set()
-    edges: set[Edge] = set()
-    marked: list[BlockId] = []
-    while True:
-        tok = p.peek()
+    def error(message: str, offset: int) -> GraphSyntaxError:
+        return GraphSyntaxError(message, *_position(text, offset))
+
+    def take(expected: str | None = None) -> str:
+        nonlocal i
+        tok, offset = tokens[i]
         if tok is None:
+            raise error(f"unexpected end of input, expected {expected or 'token'}", offset)
+        if expected is not None and tok != expected:
+            raise error(f"expected {expected!r}, found {tok!r}", offset)
+        i += 1
+        return tok
+
+    def take_id() -> str:
+        tok = take()
+        if tok in _DOT_SPECIALS or tok == "->":
+            raise error(f"expected identifier, found {tok!r}", tokens[i - 1][1])
+        # The tokenizer's id class admits only what check_block_id accepts.
+        return tok
+
+    if take() != "digraph":
+        raise error(f"expected 'digraph', found {tokens[0][0]!r}", tokens[0][1])
+    if tokens[i][0] not in (None, "{"):
+        take_id()  # graph name, ignored
+    take("{")
+
+    nodes, edges, marked = set(), set(), []
+    while tokens[i][0] != "}":
+        if tokens[i][0] is None:
             raise GraphSyntaxError("missing closing '}'")
-        if tok.text == "}":
-            p.take()
-            break
-        first = p.take_id()
-        nodes.add(first.text)
-        nxt = p.peek()
-        if nxt is not None and nxt.text == "->":
-            p.take("->")
-            second = p.take_id()
-            nodes.add(second.text)
-            edge = (first.text, second.text)
-            if edge in edges:
-                raise DuplicateEdgeError(f"duplicate edge {first.text} -> {second.text}")
-            edges.add(edge)
-        elif nxt is not None and nxt.text == "[":
-            p.take("[")
-            key = p.take_id()
-            p.take("=")
-            val = p.take_id()
-            p.take("]")
-            if key.text != "entry" or val.text != "true":
-                raise GraphSyntaxError(
-                    f"unsupported attribute {key.text}={val.text}", key.line, key.col
-                )
-            marked.append(first.text)
-        p.take(";")
-    if p.peek() is not None:
-        tok = p.peek()
-        raise GraphSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        first = take_id()
+        nodes.add(first)
+        if tokens[i][0] == "->":
+            i += 1
+            second = take_id()
+            nodes.add(second)
+            if (first, second) in edges:
+                raise DuplicateEdgeError(f"duplicate edge {first} -> {second}")
+            edges.add((first, second))
+        elif tokens[i][0] == "[":
+            i += 1
+            key_offset = tokens[i][1]
+            key = take_id()
+            take("=")
+            val = take_id()
+            take("]")
+            if key != "entry" or val != "true":
+                raise error(f"unsupported attribute {key}={val}", key_offset)
+            marked.append(first)
+        take(";")
+    if tokens[i + 1][0] is not None:
+        raise error(f"trailing input {tokens[i + 1][0]!r}", tokens[i + 1][1])
     if not nodes:
         raise GraphSyntaxError("graph has no nodes")
 

@@ -44,14 +44,14 @@ def cmd_sign(args) -> int:
     path = Path(args.input)
     try:
         graph = cfg_mod.load_graph(path, prune=args.prune_unreachable)
+        sig = build_signature(
+            peel_edge_disjoint(graph), HashAlgorithm(args.alg.upper()), path.stem
+        )
+        out = Path(args.out) if args.out else path.with_suffix(".sig")
+        out.write_bytes(serialize_signature(sig))
     except (CfsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    sig = build_signature(
-        peel_edge_disjoint(graph), HashAlgorithm(args.alg.upper()), path.stem
-    )
-    out = Path(args.out) if args.out else path.with_suffix(".sig")
-    out.write_bytes(serialize_signature(sig))
     print(f"digests: {len(sig.digests)}")
     return EXIT_OK
 
@@ -77,7 +77,11 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     out = Path(args.transcript or Path(args.scenario).with_suffix(".transcript"))
-    out.write_text(result.transcript_text())
+    try:
+        out.write_text(result.transcript_text())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     print(result.consensus.verdict)
     return EXIT_OK if result.consensus.verdict.kind == "Clean" else EXIT_MISMATCH
 
@@ -128,7 +132,7 @@ CSV_COLUMNS = [
 
 def _read_reference_times(path: Path) -> dict[str, float]:
     refs: dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(cfg_mod.read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -165,7 +169,7 @@ def cmd_bench(args) -> int:
     for path in fixtures:
         try:
             row = _bench_fixture(path, algorithm, cipher, args.key)
-        except CfsigError as exc:
+        except (CfsigError, OSError) as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         ref = refs.get(row["label"])
@@ -202,11 +206,15 @@ def cmd_bench(args) -> int:
     )
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for row in rows + [avg]:
-                writer.writerow({c: fmt(row, c) for c in CSV_COLUMNS})
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+                writer.writeheader()
+                for row in rows + [avg]:
+                    writer.writerow({c: fmt(row, c) for c in CSV_COLUMNS})
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     return EXIT_OK
 
 

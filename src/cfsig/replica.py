@@ -27,7 +27,7 @@ from pathlib import Path
 
 # parse_dot, parse_graphml and serialize_dot are unused here, but perfbench's
 # traced run patches them on this module.
-from .cfg import ControlFlowGraph, Mutation, load_graph, mutate, parse_dot, parse_graphml, serialize_dot, validate_cfg
+from .cfg import ControlFlowGraph, Mutation, load_graph, mutate, parse_dot, parse_graphml, read_utf8, serialize_dot, validate_cfg
 from .arborescence import peel_edge_disjoint
 from .errors import CfsigError, InvalidKeyError, MalformedPlaintextError, ScenarioError, TransportError
 from .matcher import Outcome, match_signatures
@@ -38,6 +38,7 @@ from .signature import (
     ProcessSignature,
     _check_key,
     build_signature,
+    check_label,
     decrypt,
     encrypt,
 )
@@ -331,7 +332,11 @@ class SocketTransport(Transport):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One round's input; ScenarioError unless the graph is a valid CFG and the tamper applies."""
+    """One round's input, valid by construction.
+
+    Raises ScenarioError unless the label is one line of ASCII, the graph is
+    a valid CFG and the tamper applies.
+    """
 
     process_label: str
     graph: ControlFlowGraph
@@ -340,6 +345,10 @@ class Scenario:
     tampered_graph: ControlFlowGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            check_label(self.process_label)
+        except MalformedPlaintextError as exc:
+            raise ScenarioError(str(exc)) from exc
         report = validate_cfg(self.graph)
         if not report.ok:
             raise ScenarioError("invalid CFG: " + ", ".join(str(v) for v in report.violations))
@@ -361,8 +370,8 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
     path = Path(path)
     fields: dict[str, str] = {}
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = read_utf8(path)
+    except (OSError, CfsigError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     for raw in text.splitlines():
         line = raw.strip()

@@ -51,7 +51,7 @@ class Cipher(enum.Enum):
 
 def hash_canonical(canonical: str, algorithm: HashAlgorithm) -> str:
     h = algorithm.new()
-    h.update(canonical.encode("ascii"))
+    h.update(canonical.encode("utf-8"))
     return h.hexdigest()
 
 
@@ -87,9 +87,14 @@ def build_signature(
 _MAGIC_LINE = "cfsig/1"
 
 
+def check_label(label: str) -> None:
+    """Raise MalformedPlaintextError unless *label* is one line of ASCII."""
+    if "\n" in label or not label.isascii():
+        raise MalformedPlaintextError(f"label {label!r} must be one line of ASCII")
+
+
 def serialize_signature(sig: ProcessSignature) -> bytes:
-    if "\n" in sig.source_label:
-        raise MalformedPlaintextError("label must be a single line")
+    check_label(sig.source_label)
     lines = [
         _MAGIC_LINE,
         f"alg:{sig.algorithm.value}",

@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from cfsig import parse_dot
 
@@ -11,6 +12,33 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Parses, but block B3 cannot be reached from the entry.
 UNREACHABLE_DOT = "digraph g {\n  B1 [entry=true];\n  B2;\n  B3;\n  B1 -> B2;\n}\n"
+
+# Every character class the DOT tokenizer distinguishes, plus Unicode whitespace
+# (no-break space, line separator) that is whitespace but not a line break.
+DOT_ALPHABET = 'digraph B1x_{}[];=,-></*:"\n\t\r \u00a0\u2028\u00e9'
+
+# DOT text that reaches past the tokenizer: words of the grammar in any order,
+# often after a graph header, and digraphs of whole statements, valid or not,
+# some with a non-ASCII id.
+DOT_WORDS = [
+    "digraph", "g", "{", "}", "B1", "B2", "B\u00e9", "->", "[", "]", "entry", "=",
+    "true", "red", ";", ",", "\n", "/* c\n */", "// c\n", "/*", "-", ":",
+]
+DOT_STATEMENTS = [
+    "B1;", "B2 [entry=true];", "B3 [color=red];", "B1 -> B2;", "B2 -> B3;",
+    "B3 -> B1;", "B2 -> B2;", "B1 -> B\u00e9;", "B\u00e9 -> B3;", "B1 -> ;", "B1 -> B2",
+]
+dot_texts = (
+    st.text(alphabet=DOT_ALPHABET, max_size=60)
+    | st.builds(
+        lambda header, words: " ".join([header, *words]),
+        st.sampled_from(["", "digraph", "digraph g {"]),
+        st.lists(st.sampled_from(DOT_WORDS), max_size=30),
+    )
+    | st.lists(st.sampled_from(DOT_STATEMENTS), max_size=8).map(
+        lambda body: "digraph g {\n" + "\n".join(body) + "\n}"
+    )
+)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,9 @@ from cfsig import (
     serialize_graphml,
     validate_cfg,
 )
-from cfsig.cfg import _DOT_SPECIALS, _FORBIDDEN_ID_CHARS, _Token, _tokenize_dot, check_block_id
+from cfsig.cfg import _DOT_SPECIALS, _FORBIDDEN_ID_CHARS, _resolve_entry, _tokenize_dot, check_block_id
 from cfsig.errors import (
+    CfsigError,
     DuplicateEdgeError,
     GraphSyntaxError,
     InvalidMutationError,
@@ -26,66 +29,151 @@ from cfsig.errors import (
     UnknownEntryError,
 )
 
-from .conftest import fixture_graphs
+from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs
 
 DIAMOND = "digraph g { B1 -> B2; B1 -> B3; B2 -> B4; B3 -> B4; }"
 
 
-def reference_tokenize_dot(text: str) -> list[_Token]:
+class Token(NamedTuple):
+    text: str
+    offset: int
+
+
+def counted_position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, col) of *offset*, counted one character at a time."""
+    line, col = 1, 1
+    for ch in text[:offset]:
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    return line, col
+
+
+def reference_tokenize_dot(text: str) -> list[Token]:
     """The character-at-a-time DOT tokenizer, kept as the reference."""
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
+    tokens: list[Token] = []
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
-            advance(1)
+            i += 1
         elif text.startswith("//", i):
             while i < n and text[i] != "\n":
-                advance(1)
+                i += 1
         elif text.startswith("/*", i):
             end = text.find("*/", i + 2)
             if end < 0:
-                raise GraphSyntaxError("unterminated block comment", line, col)
-            advance(end + 2 - i)
+                raise GraphSyntaxError("unterminated block comment", *counted_position(text, i))
+            i = end + 2
         elif text.startswith("->", i):
-            tokens.append(_Token("->", line, col))
-            advance(2)
+            tokens.append(Token("->", i))
+            i += 2
         elif ch in _DOT_SPECIALS:
-            tokens.append(_Token(ch, line, col))
-            advance(1)
+            tokens.append(Token(ch, i))
+            i += 1
         elif ch in _FORBIDDEN_ID_CHARS:
-            raise GraphSyntaxError(f"unexpected character {ch!r}", line, col)
+            raise GraphSyntaxError(f"unexpected character {ch!r}", *counted_position(text, i))
         else:
-            start, sl, sc = i, line, col
+            start = i
             while i < n and not text[i].isspace() and text[i] not in _FORBIDDEN_ID_CHARS:
-                advance(1)
-            tokens.append(_Token(text[start:i], sl, sc))
+                i += 1
+            tokens.append(Token(text[start:i], start))
     return tokens
 
 
+class ReferenceDotParser:
+    """The token-cursor DOT parser that parse_dot replaced, kept as the reference."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = reference_tokenize_dot(text)
+        self.pos = 0
+
+    def error(self, message: str, tok: Token) -> GraphSyntaxError:
+        return GraphSyntaxError(message, *counted_position(self.text, tok.offset))
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected: str | None = None) -> Token:
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else Token("", 0)
+            raise self.error(f"unexpected end of input, expected {expected or 'token'}", last)
+        if expected is not None and tok.text != expected:
+            raise self.error(f"expected {expected!r}, found {tok.text!r}", tok)
+        self.pos += 1
+        return tok
+
+    def take_id(self) -> Token:
+        tok = self.take()
+        if tok.text in _DOT_SPECIALS or tok.text == "->":
+            raise self.error(f"expected identifier, found {tok.text!r}", tok)
+        return tok
+
+
+def reference_parse_dot(text: str) -> ControlFlowGraph:
+    p = ReferenceDotParser(text)
+    kw = p.take()
+    if kw.text != "digraph":
+        raise p.error(f"expected 'digraph', found {kw.text!r}", kw)
+    if p.peek() is not None and p.peek().text != "{":
+        p.take_id()  # graph name, ignored
+    p.take("{")
+
+    nodes: set[str] = set()
+    edges: set[tuple[str, str]] = set()
+    marked: list[str] = []
+    while True:
+        tok = p.peek()
+        if tok is None:
+            raise GraphSyntaxError("missing closing '}'")
+        if tok.text == "}":
+            p.take()
+            break
+        first = p.take_id()
+        nodes.add(first.text)
+        nxt = p.peek()
+        if nxt is not None and nxt.text == "->":
+            p.take("->")
+            second = p.take_id()
+            nodes.add(second.text)
+            edge = (first.text, second.text)
+            if edge in edges:
+                raise DuplicateEdgeError(f"duplicate edge {first.text} -> {second.text}")
+            edges.add(edge)
+        elif nxt is not None and nxt.text == "[":
+            p.take("[")
+            key = p.take_id()
+            p.take("=")
+            val = p.take_id()
+            p.take("]")
+            if key.text != "entry" or val.text != "true":
+                raise p.error(f"unsupported attribute {key.text}={val.text}", key)
+            marked.append(first.text)
+        p.take(";")
+    if p.peek() is not None:
+        tok = p.peek()
+        raise p.error(f"trailing input {tok.text!r}", tok)
+    if not nodes:
+        raise GraphSyntaxError("graph has no nodes")
+
+    entry = _resolve_entry(nodes, edges, marked)
+    return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
+
+
 def tokenize_outcome(tokenize, text: str):
-    """Tokens as (text, line, col) triples, or the error's message and position."""
+    """Tokens as (text, offset) pairs, or the error's message and position."""
     try:
-        return [(t.text, t.line, t.col) for t in tokenize(text)]
+        return tokenize(text)
     except GraphSyntaxError as exc:
         return ("error", str(exc), exc.line, exc.col)
 
 
-# Every character class the tokenizer distinguishes, plus Unicode whitespace
-# (no-break space, line separator) that is whitespace but not a line break.
-DOT_ALPHABET = 'digraph B1x_{}[];=,-></*:"\n\t\r \u00a0\u2028\u00e9'
+def parse_outcome(parse, text: str):
+    """The parsed graph, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except CfsigError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "col", None))
 
 
 class TestParseDot:
@@ -179,15 +267,35 @@ class TestParseDot:
             tokens = _tokenize_dot(text)
         except GraphSyntaxError:
             return
-        for tok in tokens:
-            if tok.text not in _DOT_SPECIALS and tok.text != "->":
-                check_block_id(tok.text)
+        for tok, _ in tokens:
+            if tok not in _DOT_SPECIALS and tok != "->":
+                check_block_id(tok)
 
     def test_tokenizer_matches_reference_on_fixtures(self, fixtures_dir):
         for path in sorted(fixtures_dir.rglob("*.dot")):
             text = path.read_text()
             assert tokenize_outcome(_tokenize_dot, text) == tokenize_outcome(
                 reference_tokenize_dot, text
+            ), path.name
+
+    @given(dot_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_parser_matches_reference(self, text):
+        assert parse_outcome(parse_dot, text) == parse_outcome(reference_parse_dot, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "digraph", "digraph }", "digraph g", "digraph {", "digraph g { B1 [entry=true] }",
+         "digraph g { B1 [color", "digraph g { B1; } }", "digraph g { ; }", "x { B1; }"],
+    )
+    def test_parser_matches_reference_on_short_inputs(self, text):
+        assert parse_outcome(parse_dot, text) == parse_outcome(reference_parse_dot, text)
+
+    def test_parser_matches_reference_on_fixtures(self, fixtures_dir):
+        for path in sorted(fixtures_dir.rglob("*.dot")):
+            text = path.read_text()
+            assert parse_outcome(parse_dot, text) == parse_outcome(
+                reference_parse_dot, text
             ), path.name
 
     @pytest.mark.parametrize(

@@ -1,12 +1,27 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfsig import MutationKind, parse_dot, serialize_graphml
 from cfsig.cli import main
 
-from .conftest import UNREACHABLE_DOT
+from .conftest import FIXTURES, UNREACHABLE_DOT, dot_texts
+
+# A DOT file with a byte that no UTF-8 text contains.
+UNDECODABLE_DOT = b"digraph g { B1 -> B2; }\xff"
+NON_ASCII_DOT = "digraph g { B\u00e9 -> B2; }"
+# The stem "d\u00e9" as the file system names it, so the file has the same
+# bytes on disk in any locale (under LC_ALL=C it comes back surrogate-escaped).
+NON_ASCII_STEM = os.fsdecode("d\u00e9".encode("utf-8"))
+# The exact environment the ASCII-locale CI step runs in.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 @pytest.fixture
@@ -226,3 +241,166 @@ class TestOracle:
         assert "enumerated: 2" in out
         assert "max_packing: 1" in out
         assert "peeled: 1" in out
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("command", ["sign", "oracle"])
+    def test_undecodable_graph_exit_1(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.dot"
+        bad.write_bytes(UNDECODABLE_DOT)
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {bad} as UTF-8: ")
+
+    def test_undecodable_bench_fixture_exit_1(self, capsys, tmp_path):
+        (tmp_path / "bad.dot").write_bytes(UNDECODABLE_DOT)
+        code, out, err = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad.dot: cannot read ")
+
+    def test_unreadable_bench_fixture_exit_1(self, capsys, tmp_path):
+        (tmp_path / "dir.dot").mkdir()
+        code, out, err = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: dir.dot: ")
+
+    def test_undecodable_reference_exit_1(self, capsys, tmp_path, fixtures_dir):
+        refs = tmp_path / "refs.txt"
+        refs.write_bytes(b"wordmean=6.988\n# \xff\n")
+        code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--reference", str(refs))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {refs} as UTF-8: ")
+
+    @pytest.mark.parametrize(
+        "scenario,fixture",
+        [(b"n=3\nfixture=g.dot\n", UNDECODABLE_DOT), (b"n=3\nfixture=g.dot\n# \xff\n", b"digraph g { B1; }")],
+        ids=["fixture", "scenario"],
+    )
+    def test_undecodable_scenario_input_exit_4(self, capsys, tmp_path, scenario, fixture):
+        (tmp_path / "g.dot").write_bytes(fixture)
+        scn = tmp_path / "s.scn"
+        scn.write_bytes(scenario)
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and "as UTF-8: " in err
+
+    def test_non_ascii_ids_sign_alike_from_dot_and_graphml(self, capsys, tmp_path):
+        (tmp_path / "g.dot").write_text(NON_ASCII_DOT, encoding="utf-8")
+        (tmp_path / "g.graphml").write_text(serialize_graphml(parse_dot(NON_ASCII_DOT)), encoding="utf-8")
+        for suffix, sig in ((".dot", "a.sig"), (".graphml", "b.sig")):
+            code, out, _ = run_cli(capsys, "sign", str(tmp_path / f"g{suffix}"), "--out", str(tmp_path / sig))
+            assert code == 0 and out == "digests: 1\n"
+        assert (tmp_path / "a.sig").read_bytes() == (tmp_path / "b.sig").read_bytes()
+
+    def test_signing_does_not_depend_on_the_locale(self, capsys, tmp_path):
+        (tmp_path / "g.dot").write_text(NON_ASCII_DOT, encoding="utf-8")
+        assert run_cli(capsys, "sign", str(tmp_path / "g.dot"), "--out", str(tmp_path / "here.sig"))[0] == 0
+        src = str(FIXTURES.parent / "src")
+        env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfsig", "sign", str(tmp_path / "g.dot"), "--out", str(tmp_path / "c.sig")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "c.sig").read_bytes() == (tmp_path / "here.sig").read_bytes()
+
+
+class TestLabels:
+    @pytest.mark.parametrize("stem", [NON_ASCII_STEM, "a\nb"])
+    def test_sign_label_not_one_ascii_line_exit_1(self, capsys, tmp_path, fixtures_dir, stem):
+        path = tmp_path / f"{stem}.dot"
+        path.write_bytes((fixtures_dir / "diamond.dot").read_bytes())
+        code, out, err = run_cli(capsys, "sign", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: label ") and "must be one line of ASCII" in err
+        assert not path.with_suffix(".sig").exists()
+
+    def test_simulate_non_ascii_fixture_exit_4(self, capsys, tmp_path, fixtures_dir):
+        (tmp_path / f"{NON_ASCII_STEM}.dot").write_bytes((fixtures_dir / "diamond.dot").read_bytes())
+        scn = tmp_path / "s.scn"
+        scn.write_bytes("n=3\nfixture=d\u00e9.dot\n".encode("utf-8"))
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        # Under an ASCII locale the name cannot be opened at all; either way the round never starts.
+        assert code == 4 and out == "" and err.startswith("error: ")
+        assert not (tmp_path / "s.transcript").exists()
+
+
+class TestWriteFailures:
+    def test_sign_out(self, capsys, tmp_path, fixtures_dir):
+        target = tmp_path / "missing" / "x.sig"
+        code, out, err = run_cli(capsys, "sign", str(fixtures_dir / "diamond.dot"), "--out", str(target))
+        assert code == 1 and out == "" and err.startswith("error: ") and str(target) in err
+
+    def test_simulate_transcript(self, capsys, corpus):
+        scn = corpus / "clean.scn"
+        scn.write_text("n=3\nfixture=diamond.dot\n")
+        target = corpus / "missing" / "t"
+        code, out, err = run_cli(capsys, "simulate", str(scn), "--transcript", str(target))
+        assert code == 1 and out == "" and err.startswith("error: ") and str(target) in err
+
+    def test_bench_csv(self, capsys, tmp_path, fixtures_dir):
+        target = tmp_path / "missing" / "r.csv"
+        code, _, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--csv", str(target))
+        assert code == 1 and err.startswith("error: ") and str(target) in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "diamond.dot").write_bytes((FIXTURES / "diamond.dot").read_bytes())
+    return directory
+
+
+def assert_contract_exit(argv: list[str]) -> None:
+    code = main(argv)
+    assert isinstance(code, int) and 0 <= code <= 5
+
+
+GRAPH_BYTES = st.binary(max_size=80) | dot_texts.map(lambda text: text.encode("utf-8"))
+SIGNATURE_BYTES = st.binary(max_size=120) | st.binary(max_size=80).map(
+    lambda tail: b"cfsig/1\nalg:MD5\nlabel:" + tail
+)
+# n stays in 2..9: a round's work grows as n squared, so a huge n is slow, not wrong.
+SCENARIO_VALUES = {
+    "n": st.integers(2, 9).map(str),
+    "tamper": st.builds(
+        "{}:{}:{}".format,
+        st.integers(-1, 9),
+        st.sampled_from([k.value for k in MutationKind] + ["Bogus"]),
+        st.sampled_from(["B1>B2", "B2>B4", "B4>B1", "B3>B4>B2", "B2,B3", "B4", "B1", "B9", ""]),
+    ),
+    "alg": st.sampled_from(["MD5", "SHA1", "SHA256", "md5", "CRC32", ""]),
+    "cipher": st.sampled_from(["Null", "ShiftByte", "XorStream", "Rot13", ""]),
+    "key": st.integers(-2, 2**64 + 1).map(str) | st.sampled_from(["x", ""]),
+    "dead": st.integers(-1, 9).map(str) | st.sampled_from(["x", ""]),
+}
+SCENARIO_LINES = st.sampled_from(sorted(SCENARIO_VALUES)).flatmap(
+    lambda key: SCENARIO_VALUES[key].map(lambda value: f"{key}={value}")
+) | st.text(max_size=20).filter(lambda line: line.partition("=")[0].strip() != "n")
+
+
+class TestCliFuzz:
+    """Whatever the input, the CLI returns an exit code of the contract and raises nothing."""
+
+    @given(GRAPH_BYTES, st.sampled_from([("sign", ".dot"), ("oracle", ".dot"), ("sign", ".graphml")]))
+    @settings(max_examples=150, deadline=None)
+    def test_graph_input(self, fuzz_dir, data, command):
+        name, suffix = command
+        path = fuzz_dir / f"g{suffix}"
+        path.write_bytes(data)
+        extra = ["--out", str(fuzz_dir / "g.sig")] if name == "sign" else []
+        assert_contract_exit([name, str(path), *extra])
+
+    @given(SIGNATURE_BYTES, SIGNATURE_BYTES)
+    @settings(max_examples=50, deadline=None)
+    def test_match(self, fuzz_dir, a, b):
+        (fuzz_dir / "a.sig").write_bytes(a)
+        (fuzz_dir / "b.sig").write_bytes(b)
+        assert_contract_exit(["match", str(fuzz_dir / "a.sig"), str(fuzz_dir / "b.sig")])
+
+    @given(SCENARIO_VALUES["n"], st.lists(SCENARIO_LINES, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_simulate(self, fuzz_dir, n, lines):
+        scn = fuzz_dir / "s.scn"
+        scn.write_text("\n".join([f"n={n}", "fixture=diamond.dot", *lines]) + "\n", encoding="utf-8")
+        assert_contract_exit(["simulate", str(scn), "--transcript", str(fuzz_dir / "s.transcript")])

@@ -137,6 +137,11 @@ class TestScenarios:
         with pytest.raises(ScenarioError):
             Scenario("bad", graph, tamper=tamper)
 
+    @pytest.mark.parametrize("label", ["d\u00e9", "a\nb"])
+    def test_label_that_cannot_be_signed_raises(self, diamond, label):
+        with pytest.raises(ScenarioError, match="must be one line of ASCII"):
+            Scenario(label, diamond)
+
     @pytest.mark.parametrize(
         "tamper,dead",
         [((7, Mutation.remove_edge("B2", "B4")), None), ((-1, Mutation.remove_edge("B2", "B4")), None),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -79,6 +80,11 @@ class TestHash:
         assert len(hash_canonical(DIAMOND_CANONICAL, HashAlgorithm.MD5)) == 32
         assert len(hash_canonical(DIAMOND_CANONICAL, HashAlgorithm.SHA256)) == 64
 
+    def test_non_ascii_block_ids_hash_as_utf8(self):
+        canonical = "nodes:B\u00e9;edges:;root:B\u00e9"
+        want = hashlib.md5(canonical.encode("utf-8")).hexdigest()
+        assert hash_canonical(canonical, HashAlgorithm.MD5) == want
+
 
 class TestBuildSignature:
     def test_diamond_one_digest(self, diamond):
@@ -108,6 +114,12 @@ class TestBuildSignature:
             b"cfsig/1\nalg:MD5\nlabel:diamond\ncount:1\n" + DIAMOND_MD5.encode() + b"\n"
         )
         assert parse_signature(data) == sig
+
+    @pytest.mark.parametrize("label", ["d\u00e9", "a\nb", "d\udcc3\udca9"])
+    def test_label_must_be_one_ascii_line(self, diamond, label):
+        sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, label)
+        with pytest.raises(MalformedPlaintextError, match="must be one line of ASCII"):
+            serialize_signature(sig)
 
     @pytest.mark.parametrize(
         "data",
