@@ -22,7 +22,6 @@ from .cfg import (
 )
 from .arborescence import (
     Arborescence,
-    ArborescenceSet,
     enumerate_all_arborescences,
     find_arborescence,
     max_edge_disjoint_packing,
@@ -54,7 +53,6 @@ from .replica import (
 
 __all__ = [
     "Arborescence",
-    "ArborescenceSet",
     "Cipher",
     "ClusterConfig",
     "ConsensusRound",

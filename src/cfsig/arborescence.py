@@ -47,22 +47,6 @@ class Arborescence:
         assert reachable_from(self.root, self.edges) == self.nodes
 
 
-@dataclass(frozen=True)
-class ArborescenceSet:
-    """Edge-disjoint arborescences of one CFG, in canonical-string order."""
-
-    items: tuple[Arborescence, ...]
-
-    def canonical_strings(self) -> tuple[str, ...]:
-        return tuple(a.canonical() for a in self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-
 def arborescence_to_dot(a: Arborescence, name: str = "g") -> str:
     """Debug export in the same DOT subset the parser accepts."""
     from .cfg import ControlFlowGraph, serialize_dot
@@ -99,7 +83,7 @@ def find_arborescence(
     return Arborescence(g.entry, g.nodes, frozenset(chosen))
 
 
-def peel_edge_disjoint(g: ControlFlowGraph) -> ArborescenceSet:
+def peel_edge_disjoint(g: ControlFlowGraph) -> tuple[Arborescence, ...]:
     """Greedily peel edge-disjoint spanning arborescences off the graph.
 
     Repeatedly extracts the deterministic BFS arborescence from the edges
@@ -117,7 +101,7 @@ def peel_edge_disjoint(g: ControlFlowGraph) -> ArborescenceSet:
         remaining -= arb.edges
         if not arb.edges:  # single-node graph: one empty arborescence
             break
-    return ArborescenceSet(tuple(sorted(found, key=Arborescence.canonical)))
+    return tuple(sorted(found, key=Arborescence.canonical))
 
 
 def enumerate_all_arborescences(g: ControlFlowGraph) -> list[Arborescence]:

@@ -2,6 +2,8 @@
 
 Exit codes are a stable contract: 0 match/clean/success, 1 bad input,
 2 mismatch, 3 bad signature file, 4 scenario error, 5 empty corpus.
+The subcommands raise; `main` alone turns an error into an `error:` line
+and an exit code.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .arborescence import (
     max_edge_disjoint_packing,
     peel_edge_disjoint,
 )
-from .errors import CfsigError, InvalidKeyError, MalformedPlaintextError, ScenarioError
+from .errors import CfsigError, InvalidKeyError, ScenarioError
 from .matcher import Outcome, match_signatures
 from .replica import ClusterConfig, Scenario, parse_scenario_file, run_cluster_scenario
 from .signature import (
@@ -42,46 +44,26 @@ EXIT_EMPTY_CORPUS = 5
 
 def cmd_sign(args) -> int:
     path = Path(args.input)
-    try:
-        graph = cfg_mod.load_graph(path, prune=args.prune_unreachable)
-        sig = build_signature(
-            peel_edge_disjoint(graph), HashAlgorithm(args.alg.upper()), path.stem
-        )
-        out = Path(args.out) if args.out else path.with_suffix(".sig")
-        out.write_bytes(serialize_signature(sig))
-    except (CfsigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    graph = cfg_mod.load_graph(path, prune=args.prune_unreachable)
+    sig = build_signature(peel_edge_disjoint(graph), HashAlgorithm(args.alg.upper()), path.stem)
+    out = Path(args.out) if args.out else path.with_suffix(".sig")
+    out.write_bytes(serialize_signature(sig))
     print(f"digests: {len(sig.digests)}")
     return EXIT_OK
 
 
 def cmd_match(args) -> int:
-    sigs = []
-    for name in (args.sig_a, args.sig_b):
-        try:
-            sigs.append(parse_signature(Path(name).read_bytes()))
-        except (MalformedPlaintextError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_SIGFILE
-    verdict = match_signatures(sigs[0], sigs[1])
+    a, b = (parse_signature(Path(name).read_bytes()) for name in (args.sig_a, args.sig_b))
+    verdict = match_signatures(a, b)
     print(verdict)
     return EXIT_OK if verdict.outcome is Outcome.MATCH else EXIT_MISMATCH
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config, scenario = parse_scenario_file(args.scenario)
-        result = run_cluster_scenario(config, scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
+    config, scenario = parse_scenario_file(args.scenario)
+    result = run_cluster_scenario(config, scenario)
     out = Path(args.transcript or Path(args.scenario).with_suffix(".transcript"))
-    try:
-        out.write_text(result.transcript_text())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    out.write_text(result.transcript_text())
     print(result.consensus.verdict)
     return EXIT_OK if result.consensus.verdict.kind == "Clean" else EXIT_MISMATCH
 
@@ -149,8 +131,7 @@ def cmd_bench(args) -> int:
     try:
         _check_key(cipher, args.key)
     except InvalidKeyError as exc:
-        print(f"error: --key: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise CfsigError(f"--key: {exc}") from exc
     corpus = Path(args.corpus)
     fixtures = sorted(
         p for p in corpus.glob("*") if p.suffix in (".dot", ".graphml")
@@ -158,20 +139,15 @@ def cmd_bench(args) -> int:
     if not fixtures:
         print(f"error: no .dot/.graphml fixtures in {corpus}", file=sys.stderr)
         return EXIT_EMPTY_CORPUS
-    try:
-        refs = _read_reference_times(Path(args.reference)) if args.reference else {}
-    except (CfsigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    refs = _read_reference_times(Path(args.reference)) if args.reference else {}
 
     algorithm = HashAlgorithm(args.alg.upper())
     rows = []
     for path in fixtures:
         try:
             row = _bench_fixture(path, algorithm, cipher, args.key)
-        except (CfsigError, OSError) as exc:
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        except (CfsigError, OSError) as exc:  # a ScenarioError here is still bad input
+            raise CfsigError(f"{path.name}: {exc}") from exc
         ref = refs.get(row["label"])
         if ref is not None:
             row["reference_exec_s"] = ref
@@ -206,26 +182,18 @@ def cmd_bench(args) -> int:
     )
 
     if args.csv:
-        try:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-                writer.writeheader()
-                for row in rows + [avg]:
-                    writer.writerow({c: fmt(row, c) for c in CSV_COLUMNS})
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            for row in rows + [avg]:
+                writer.writerow({c: fmt(row, c) for c in CSV_COLUMNS})
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    try:
-        graph = cfg_mod.load_graph(args.input)
-        enumerated = enumerate_all_arborescences(graph)
-        packing = max_edge_disjoint_packing(graph)
-    except (CfsigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    graph = cfg_mod.load_graph(args.input)
+    enumerated = enumerate_all_arborescences(graph)
+    packing = max_edge_disjoint_packing(graph)
     peeled = peel_edge_disjoint(graph)
     enumerated_strings = {a.canonical() for a in enumerated}
     contained = all(a.canonical() in enumerated_strings for a in peeled)
@@ -254,27 +222,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out")
     p.add_argument("--prune-unreachable", action="store_true")
-    p.set_defaults(func=cmd_sign)
+    p.set_defaults(func=cmd_sign, error_exit=EXIT_BAD_INPUT)
 
     p = sub.add_parser("match", help="compare two signature files")
     p.add_argument("sig_a")
     p.add_argument("sig_b")
-    p.set_defaults(func=cmd_match)
+    p.set_defaults(func=cmd_match, error_exit=EXIT_BAD_SIGFILE)
 
     p = sub.add_parser("simulate", help="run a replica-cluster scenario")
     p.add_argument("scenario")
     p.add_argument("--transcript")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, error_exit=EXIT_BAD_INPUT)
 
     p = sub.add_parser("bench", parents=[alg, crypto], help="per-phase timing report over a fixture corpus")
     p.add_argument("corpus")
     p.add_argument("--reference", help="file of label=<exec seconds> lines")
     p.add_argument("--csv", help="write machine-readable report here")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, error_exit=EXIT_BAD_INPUT)
 
     p = sub.add_parser("oracle", help="exhaustive arborescence checks on one fixture")
     p.add_argument("input")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, error_exit=EXIT_BAD_INPUT)
     return parser
 
 
@@ -292,7 +260,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, but 2 means mismatch here
         return EXIT_BAD_INPUT if exc.code == 2 else exc.code
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CfsigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO if isinstance(exc, ScenarioError) else args.error_exit
 
 
 if __name__ == "__main__":

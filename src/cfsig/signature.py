@@ -13,7 +13,7 @@ import enum
 import hashlib
 from dataclasses import dataclass
 
-from .arborescence import ArborescenceSet
+from .arborescence import Arborescence
 from .errors import InvalidKeyError, MalformedPlaintextError
 
 _MASK64 = (1 << 64) - 1
@@ -73,7 +73,7 @@ class ProcessSignature:
 
 
 def build_signature(
-    arbs: ArborescenceSet, algorithm: HashAlgorithm, label: str
+    arbs: tuple[Arborescence, ...], algorithm: HashAlgorithm, label: str
 ) -> ProcessSignature:
     """Hash each arborescence's canonical string into a sorted digest set."""
     digests = sorted({hash_canonical(a.canonical(), algorithm) for a in arbs})

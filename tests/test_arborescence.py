@@ -138,7 +138,7 @@ class TestPeel:
     def test_diamond_yields_one(self, diamond):
         peeled = peel_edge_disjoint(diamond)
         assert len(peeled) == 1
-        assert peeled.items[0].edges == {("B1", "B2"), ("B1", "B3"), ("B2", "B4")}
+        assert peeled[0].edges == {("B1", "B2"), ("B1", "B3"), ("B2", "B4")}
 
     def test_fanout_within_packing_bound(self, fixtures_dir):
         g = parse_dot((fixtures_dir / "fanout.dot").read_text())
@@ -147,13 +147,13 @@ class TestPeel:
     def test_single_node_convention(self):
         g = parse_dot("digraph g { B1; }")
         peeled = peel_edge_disjoint(g)
-        assert len(peeled) == 1 and peeled.items[0].edges == frozenset()
+        assert len(peeled) == 1 and peeled[0].edges == frozenset()
 
     def test_pairwise_disjoint_and_deterministic(self):
         g = generate_synthetic(8, 0.5, seed=11)
         a = peel_edge_disjoint(g)
         b = peel_edge_disjoint(g)
-        assert a.canonical_strings() == b.canonical_strings()
+        assert tuple(x.canonical() for x in a) == tuple(x.canonical() for x in b)
         items = list(a)
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
@@ -161,7 +161,7 @@ class TestPeel:
 
     def test_canonical_order(self):
         g = generate_synthetic(7, 0.8, seed=3)
-        strings = peel_edge_disjoint(g).canonical_strings()
+        strings = tuple(a.canonical() for a in peel_edge_disjoint(g))
         assert list(strings) == sorted(strings)
 
 

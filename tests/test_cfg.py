@@ -34,6 +34,10 @@ from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs
 DIAMOND = "digraph g { B1 -> B2; B1 -> B3; B2 -> B4; B3 -> B4; }"
 
 
+def graphml(body: str) -> str:
+    return f'<graphml><graph edgedefault="directed">{body}</graph></graphml>'
+
+
 class Token(NamedTuple):
     text: str
     offset: int
@@ -355,6 +359,36 @@ class TestParseGraphml:
                 '<graphml><graph edgedefault="undirected"><node id="B1"/></graph></graphml>'
             )
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ('<graph edgedefault="directed"><node id="B1"/></graph>', GraphSyntaxError,
+             "expected <graphml> root, found <graph>"),
+            ('<graphml><key id="entry"/></graphml>', GraphSyntaxError, "missing <graph> element"),
+            (graphml("<node/>"), GraphSyntaxError, "<node> without id attribute"),
+            (graphml('<node id="B1"/><node id="B1"/>'), GraphSyntaxError, "duplicate node id 'B1'"),
+            (graphml('<node id="B1"/><edge target="B1"/>'), GraphSyntaxError, "<edge> missing source or target"),
+            (graphml('<node id="B1"/><node id="B2"/>' + '<edge source="B1" target="B2"/>' * 2),
+             DuplicateEdgeError, "duplicate edge B1 -> B2"),
+            (graphml(""), GraphSyntaxError, "graph has no nodes"),
+        ],
+        ids=["root", "no-graph", "node-id", "duplicate-node", "edge-source", "duplicate-edge", "no-nodes"],
+    )
+    def test_rejects(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_graphml(text)
+
+    def test_entry_key_alias(self):
+        # Each node has an in-edge, so only the marker can name the entry.
+        text = (
+            '<graphml><key id="d0" for="node" attr.name="entry"/>'
+            '<graph edgedefault="directed">'
+            '<node id="B1"/><node id="B2"><data key="d0">true</data></node>'
+            '<edge source="B1" target="B2"/><edge source="B2" target="B1"/>'
+            "</graph></graphml>"
+        )
+        assert parse_graphml(text).entry == "B2"
+
 
 class TestValidate:
     def test_diamond_ok(self, diamond):
@@ -458,6 +492,21 @@ class TestMutate:
     def test_missing_operand(self, diamond):
         with pytest.raises(InvalidMutationError):
             mutate(diamond, Mutation.remove_edge("B2", "B3"))
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("AddEdge:B1>B9", "AddEdge endpoints must exist: B1>B9"),
+            ("AddEdge:B1>B2", "edge B1>B2 already present"),
+            ("RedirectEdge:B2>B3>B4", "edge B2>B3 not present"),
+            ("RedirectEdge:B1>B2>B9", "redirect target B9 not a node"),
+            ("RedirectEdge:B1>B2>B3", "edge B1>B3 already present"),
+            ("SwapNodeIds:B1,B9", "swap operands must exist: B1,B9"),
+        ],
+    )
+    def test_operand_errors(self, diamond, spec, message):
+        with pytest.raises(InvalidMutationError, match=message):
+            mutate(diamond, Mutation.parse(spec))
 
     def test_disconnect_rejected_unless_pruned(self):
         g = parse_dot("digraph g { B1 -> B2; B2 -> B3; }")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfsig import MutationKind, parse_dot, serialize_graphml
+from cfsig import MutationKind, cli, parse_dot, serialize_graphml
 from cfsig.cli import main
+from cfsig.errors import CfsigError, ScenarioError, TransportError
 
 from .conftest import FIXTURES, UNREACHABLE_DOT, dot_texts
 
@@ -104,6 +106,14 @@ class TestSign:
         run_cli(capsys, "sign", str(corpus / "diamond.graphml"), "--out", str(corpus / "b.sig"))
         assert (corpus / "a.sig").read_bytes() == (corpus / "b.sig").read_bytes()
 
+    def test_prune_unreachable(self, capsys, tmp_path):
+        path = tmp_path / "unreachable.dot"
+        path.write_text(UNREACHABLE_DOT)
+        code, _, err = run_cli(capsys, "sign", str(path))
+        assert code == 1 and err.startswith("error: invalid CFG")
+        code, out, _ = run_cli(capsys, "sign", "--prune-unreachable", str(path))
+        assert code == 0 and out == "digests: 1\n"
+
 
 class TestMatch:
     def test_same_file_matches(self, capsys, corpus):
@@ -120,6 +130,23 @@ class TestMatch:
         )
         assert code == 2
         assert out.startswith("MISMATCH")
+
+    @pytest.mark.parametrize(
+        "other,detail",
+        [
+            (["sign", "--alg", "SHA256"], "AlgorithmDiffer"),
+            (None, "SizeDiffer"),
+        ],
+    )
+    def test_mismatch_detail(self, capsys, corpus, other, detail):
+        run_cli(capsys, "sign", str(corpus / "diamond.dot"), "--out", str(corpus / "a.sig"))
+        b = corpus / "b.sig"
+        if other is None:  # greedy peeling gives one digest, so write a two-digest file by hand
+            b.write_text("cfsig/1\nalg:MD5\nlabel:two\ncount:2\n" + "0" * 32 + "\n" + "1" * 32 + "\n")
+        else:
+            run_cli(capsys, *other, str(corpus / "diamond.dot"), "--out", str(b))
+        code, out, _ = run_cli(capsys, "match", str(corpus / "a.sig"), str(b))
+        assert code == 2 and out == f"MISMATCH {detail}\n"
 
     def test_malformed_sigfile_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.sig"
@@ -166,6 +193,7 @@ class TestSimulate:
             "n=3\nfixture=diamond.dot\nkey=0\n",
             "n=3\nfixture=diamond.dot\nkey=300\n",
             "n=3\nfixture=diamond.dot\ncipher=XorStream\nkey=-1\n",
+            "n=3\nfixture=diamond.dot\ncipher=Null\nkey=-1\n",
         ],
     )
     def test_bad_scenario_value_exit_4(self, capsys, corpus, text):
@@ -233,6 +261,15 @@ class TestBench:
         code, _, _ = run_cli(capsys, "bench", str(tmp_path))
         assert code == 5
 
+    def test_non_ascii_fixture_name_exit_1(self, monkeypatch, tmp_path, fixtures_dir):
+        (tmp_path / f"{NON_ASCII_STEM}.dot").write_bytes((fixtures_dir / "diamond.dot").read_bytes())
+        # Under an ASCII locale the name is surrogate-escaped: the real stderr writes the
+        # escapes as backslashes, a StringIO keeps them, capsys's UTF-8 stream would raise.
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["bench", str(tmp_path)]) == 1
+        assert err.getvalue().startswith(f"error: {NON_ASCII_STEM}.dot: label ")
+
 
 class TestOracle:
     def test_diamond(self, capsys, corpus):
@@ -241,6 +278,35 @@ class TestOracle:
         assert "enumerated: 2" in out
         assert "max_packing: 1" in out
         assert "peeled: 1" in out
+
+
+def raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+class TestErrorBoundary:
+    """An error raised anywhere inside a subcommand ends in one error line and its exit code."""
+
+    @pytest.mark.parametrize(
+        "command,operands,callee,exc,code",
+        [
+            ("oracle", ["diamond.dot"], "peel_edge_disjoint", CfsigError("peel failed"), 1),
+            ("match", ["diamond.sig", "diamond.sig"], "match_signatures", CfsigError("match failed"), 3),
+            ("simulate", ["s.scn"], "run_cluster_scenario", TransportError("peer unreachable"), 1),
+            ("sign", ["diamond.dot"], "serialize_signature", OSError("disk full"), 1),
+            ("bench", ["."], "run_cluster_scenario", ScenarioError("round failed"), 1),
+        ],
+        ids=["oracle", "match", "simulate", "sign", "bench"],
+    )
+    def test_callee_error(self, capsys, monkeypatch, corpus, command, operands, callee, exc, code):
+        run_cli(capsys, "sign", str(corpus / "diamond.dot"))
+        (corpus / "s.scn").write_text("n=3\nfixture=diamond.dot\n")
+        monkeypatch.setattr(cli, callee, raising(exc))
+        got, out, err = run_cli(capsys, command, *(str(corpus / name) for name in operands))
+        assert got == code and out == ""
+        assert err.startswith("error: ") and err.endswith(f"{exc}\n") and err.count("\n") == 1
 
 
 class TestInputEncoding:

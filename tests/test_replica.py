@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import socket
 import threading
 import time
@@ -336,6 +337,22 @@ class TestDroppedFrames:
         assert drops[0].startswith(f"drop phase={phase} node=") and reason in drops[0]
         assert result.consensus.verdict.kind == "Clean"
 
+    def test_send_error_is_logged(self, monkeypatch, diamond):
+        original = InProcessTransport.send
+
+        def send(self, receiver, frame_bytes):
+            if receiver == 1 and frame_bytes[4] == MSG_ENVELOPE:
+                raise TransportError("peer unreachable")
+            original(self, receiver, frame_bytes)
+
+        monkeypatch.setattr(InProcessTransport, "send", send)
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
+        errors = [l for l in result.transcript if " error=" in l]
+        assert errors == [
+            f"frame phase=signature from={s} to=1 error=peer unreachable" for s in (0, 2)
+        ]
+        assert result.consensus.verdict.kind == "Clean"
+
     def test_peer_on_another_cipher_gets_a_mismatch_vote(self, monkeypatch, diamond):
         # ShiftByte cannot take key 300, so this envelope cannot even be decrypted.
         mangle = lambda raw, r: raw[:11] + bytes([Cipher.SHIFT_BYTE.wire_tag]) + raw[12:]
@@ -358,6 +375,14 @@ class TestScenarioFiles:
         assert config.n == 3 and config.key == 9
         result = run_cluster_scenario(config, scenario)
         assert result.consensus.verdict.kind == "IntrusionAt"
+
+    def test_readme_example_parses(self, tmp_path, fixtures_dir):
+        readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"### Scenario files\n.*?\n```\n(.*?)```\n", readme, re.S).group(1)
+        (tmp_path / "diamond.dot").write_bytes((fixtures_dir / "diamond.dot").read_bytes())
+        (tmp_path / "s.scn").write_text(example)
+        config, scenario = parse_scenario_file(tmp_path / "s.scn")
+        assert config.n == 3 and scenario.tamper[0] == 1 and scenario.dead == 2
 
     @pytest.mark.parametrize(
         "text",
