@@ -10,7 +10,6 @@ from .cfg import (
     ControlFlowGraph,
     Mutation,
     MutationKind,
-    generate_synthetic,
     load_graph,
     mutate,
     parse_dot,
@@ -21,7 +20,6 @@ from .cfg import (
     validate_cfg,
 )
 from .arborescence import (
-    Arborescence,
     enumerate_all_arborescences,
     find_arborescence,
     max_edge_disjoint_packing,
@@ -33,6 +31,7 @@ from .signature import (
     HashAlgorithm,
     ProcessSignature,
     build_signature,
+    canonical,
     decrypt,
     encrypt,
     hash_canonical,
@@ -52,7 +51,6 @@ from .replica import (
 )
 
 __all__ = [
-    "Arborescence",
     "Cipher",
     "ClusterConfig",
     "ConsensusRound",
@@ -69,11 +67,11 @@ __all__ = [
     "Verdict",
     "VoteMessage",
     "build_signature",
+    "canonical",
     "decrypt",
     "encrypt",
     "enumerate_all_arborescences",
     "find_arborescence",
-    "generate_synthetic",
     "hash_canonical",
     "load_graph",
     "match_cost",

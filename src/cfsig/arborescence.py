@@ -1,5 +1,7 @@
 """Spanning arborescence extraction over validated CFGs.
 
+A spanning arborescence is a `ControlFlowGraph` whose entry is its root and
+whose edges, drawn from one CFG, give every other node exactly one parent.
 With every edge weighing 1 a spanning arborescence is automatically minimum,
 so extraction reduces to deterministic rooted BFS with lexicographic parent
 selection. The exhaustive enumeration and the packing search are test
@@ -9,54 +11,17 @@ oracles for small graphs, not a production path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cfg import BlockId, ControlFlowGraph, Edge, reachable_from, successor_index
 from .errors import TooLargeError
+from .signature import canonical
 
 ENUMERATION_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class Arborescence:
-    """Spanning tree directed away from *root*; edges drawn from one CFG."""
-
-    root: BlockId
-    nodes: frozenset[BlockId]
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-
-    def canonical(self) -> str:
-        """Canonical string: sorted node list, sorted edge list, then root."""
-        nodes = ",".join(sorted(self.nodes))
-        edges = ",".join(f"{s}>{d}" for s, d in sorted(self.edges))
-        return f"nodes:{nodes};edges:{edges};root:{self.root}"
-
-    def check(self) -> None:
-        """Assert the structural invariants; used by tests and oracles."""
-        assert self.root in self.nodes
-        assert len(self.edges) == len(self.nodes) - 1
-        indeg: dict[BlockId, int] = {n: 0 for n in self.nodes}
-        for _, dst in self.edges:
-            indeg[dst] += 1
-        assert indeg[self.root] == 0
-        assert all(indeg[n] == 1 for n in self.nodes if n != self.root)
-        assert reachable_from(self.root, self.edges) == self.nodes
-
-
-def arborescence_to_dot(a: Arborescence, name: str = "g") -> str:
-    """Debug export in the same DOT subset the parser accepts."""
-    from .cfg import ControlFlowGraph, serialize_dot
-
-    return serialize_dot(ControlFlowGraph(a.nodes, a.edges, a.root), name)
-
-
 def find_arborescence(
     g: ControlFlowGraph, available: frozenset[Edge] | None = None
-) -> Arborescence | None:
+) -> ControlFlowGraph | None:
     """Deterministic BFS spanning arborescence from entry, or None.
 
     Nodes are reached layer by layer. Each layer scans the out-edges in
@@ -80,19 +45,20 @@ def find_arborescence(
         layer = list(parent)
     if reached != g.nodes:
         return None
-    return Arborescence(g.entry, g.nodes, frozenset(chosen))
+    return ControlFlowGraph(g.nodes, frozenset(chosen), g.entry)
 
 
-def peel_edge_disjoint(g: ControlFlowGraph) -> tuple[Arborescence, ...]:
+def peel_edge_disjoint(g: ControlFlowGraph) -> tuple[ControlFlowGraph, ...]:
     """Greedily peel edge-disjoint spanning arborescences off the graph.
 
     Repeatedly extracts the deterministic BFS arborescence from the edges
     still unused and removes its edges, until the remainder no longer spans.
-    Greedy peeling may fall short of the theoretical maximum packing; both
-    ends of a comparison run the same procedure, so signatures still agree.
+    The trees come in the order they are found. Greedy peeling may fall
+    short of the theoretical maximum packing; both ends of a comparison run
+    the same procedure, so signatures still agree.
     """
     remaining = set(g.edges)
-    found: list[Arborescence] = []
+    found: list[ControlFlowGraph] = []
     while True:
         arb = find_arborescence(g, frozenset(remaining))
         if arb is None:
@@ -101,15 +67,15 @@ def peel_edge_disjoint(g: ControlFlowGraph) -> tuple[Arborescence, ...]:
         remaining -= arb.edges
         if not arb.edges:  # single-node graph: one empty arborescence
             break
-    return tuple(sorted(found, key=Arborescence.canonical))
+    return tuple(found)
 
 
-def enumerate_all_arborescences(g: ControlFlowGraph) -> list[Arborescence]:
+def enumerate_all_arborescences(g: ControlFlowGraph) -> list[ControlFlowGraph]:
     """Exhaustively enumerate every spanning arborescence (test oracle).
 
     Chooses one incoming edge per non-root node and keeps combinations that
-    are connected from the root. Refuses when the choice product exceeds
-    ENUMERATION_BUDGET.
+    are connected from the root, in canonical-string order. Refuses when the
+    choice product exceeds ENUMERATION_BUDGET.
     """
     others = sorted(g.nodes - {g.entry})
     incoming = {
@@ -125,12 +91,12 @@ def enumerate_all_arborescences(g: ControlFlowGraph) -> list[Arborescence]:
     if budget == 0:
         return []
 
-    result: list[Arborescence] = []
+    result: list[ControlFlowGraph] = []
     for combo in itertools.product(*(incoming[n] for n in others)):
         edges = frozenset(combo)
         if reachable_from(g.entry, edges) == g.nodes:
-            result.append(Arborescence(g.entry, g.nodes, edges))
-    result.sort(key=Arborescence.canonical)
+            result.append(ControlFlowGraph(g.nodes, edges, g.entry))
+    result.sort(key=canonical)
     return result
 
 

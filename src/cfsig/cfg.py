@@ -1,4 +1,4 @@
-"""Control-flow graph model: parsing, validation, synthesis, and tampering.
+"""Control-flow graph model: parsing, validation, and tampering.
 
 A graph is an immutable value: a set of block ids, a set of directed edges,
 and a designated entry block. All downstream processing (arborescence
@@ -9,7 +9,6 @@ order never matters.
 from __future__ import annotations
 
 import enum
-import random
 import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterable
@@ -21,7 +20,6 @@ from .errors import (
     DuplicateEdgeError,
     GraphSyntaxError,
     InvalidMutationError,
-    InvalidSpecError,
     ProducesInvalidGraphError,
     UnknownEntryError,
 )
@@ -386,48 +384,6 @@ def serialize_graphml(g: ControlFlowGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic corpus generation
-# ---------------------------------------------------------------------------
-
-
-def generate_synthetic(node_count: int, edge_density: float, seed: int) -> ControlFlowGraph:
-    """Deterministically generate a valid CFG from (node_count, density, seed).
-
-    A random spanning arborescence is laid first so every node is reachable,
-    then extra non-loop edges are sampled at the requested density.
-    """
-    if node_count < 1:
-        raise InvalidSpecError(f"node_count must be >= 1, got {node_count}")
-    if not 0.0 <= edge_density <= 1.0:
-        raise InvalidSpecError(f"edge_density must be in [0, 1], got {edge_density}")
-    if not -(2**63) <= seed < 2**64:
-        raise InvalidSpecError("seed must fit in 64 bits")
-
-    width = len(str(node_count))
-    names = [f"B{i:0{width}d}" for i in range(1, node_count + 1)]
-    entry = names[0]
-    rng = random.Random(seed)
-
-    placed = [entry]
-    edges: set[Edge] = set()
-    rest = names[1:]
-    rng.shuffle(rest)
-    for node in rest:
-        parent = rng.choice(placed)
-        edges.add((parent, node))
-        placed.append(node)
-
-    candidates = sorted(
-        (u, v) for u in names for v in names if u != v and (u, v) not in edges
-    )
-    extra = round(edge_density * len(candidates))
-    if extra:
-        edges.update(rng.sample(candidates, extra))
-
-    return ControlFlowGraph(frozenset(names), frozenset(edges), entry)
-
-
-# ---------------------------------------------------------------------------
 # Tamper mutations
 # ---------------------------------------------------------------------------
 
@@ -438,6 +394,17 @@ class MutationKind(enum.Enum):
     REDIRECT_EDGE = "RedirectEdge"
     SWAP_NODE_IDS = "SwapNodeIds"
     REMOVE_NODE = "RemoveNode"
+
+
+# Each kind's spec syntax: the separator between its operands, and their
+# count. A single operand is never split.
+_SPEC_SYNTAX = {
+    MutationKind.ADD_EDGE: (">", 2),
+    MutationKind.REMOVE_EDGE: (">", 2),
+    MutationKind.REDIRECT_EDGE: (">", 3),
+    MutationKind.SWAP_NODE_IDS: (",", 2),
+    MutationKind.REMOVE_NODE: ("", 1),
+}
 
 
 @dataclass(frozen=True)
@@ -479,37 +446,24 @@ class Mutation:
             kind = MutationKind(name)
         except ValueError as exc:
             raise InvalidMutationError(f"unknown mutation kind in {spec!r}") from exc
-        if kind in (MutationKind.ADD_EDGE, MutationKind.REMOVE_EDGE):
-            ops = tuple(rest.split(">"))
-            want = 2
-        elif kind is MutationKind.REDIRECT_EDGE:
-            ops = tuple(rest.split(">"))
-            want = 3
-        elif kind is MutationKind.SWAP_NODE_IDS:
-            ops = tuple(rest.split(","))
-            want = 2
-        else:
-            ops = (rest,)
-            want = 1
+        sep, want = _SPEC_SYNTAX[kind]
+        ops = tuple(rest.split(sep)) if sep else (rest,)
         if len(ops) != want or not all(ops):
             raise InvalidMutationError(f"bad operands in mutation spec {spec!r}")
         return cls(kind, ops)
 
     def __str__(self) -> str:
-        if self.kind in (MutationKind.ADD_EDGE, MutationKind.REMOVE_EDGE,
-                         MutationKind.REDIRECT_EDGE):
-            return f"{self.kind.value}:{'>'.join(self.operands)}"
-        if self.kind is MutationKind.SWAP_NODE_IDS:
-            return f"{self.kind.value}:{','.join(self.operands)}"
-        return f"{self.kind.value}:{self.operands[0]}"
+        sep, _ = _SPEC_SYNTAX[self.kind]
+        return f"{self.kind.value}:{sep.join(self.operands)}"
 
 
 def mutate(g: ControlFlowGraph, m: Mutation, prune: bool = False) -> ControlFlowGraph:
     """Apply a tamper mutation, returning a new valid graph.
 
-    Raises InvalidMutationError when operands are missing from the graph and
-    ProducesInvalidGraphError when the result would fail validation. With
-    ``prune=True`` an unreachable remainder is pruned instead of rejected.
+    Raises InvalidMutationError when operands are missing from the graph or
+    a swap names one block twice, and ProducesInvalidGraphError when the
+    result would fail validation. With ``prune=True`` an unreachable
+    remainder is pruned instead of rejected.
     """
     nodes = set(g.nodes)
     edges = set(g.edges)
@@ -542,6 +496,8 @@ def mutate(g: ControlFlowGraph, m: Mutation, prune: bool = False) -> ControlFlow
         a, b = m.operands
         if a not in nodes or b not in nodes:
             raise InvalidMutationError(f"swap operands must exist: {a},{b}")
+        if a == b:
+            raise InvalidMutationError(f"swap operands must differ: {a},{b}")
         swap = {a: b, b: a}
         edges = {(swap.get(s, s), swap.get(d, d)) for s, d in edges}
         entry = swap.get(entry, entry)

@@ -26,10 +26,6 @@ class UnknownEntryError(CfsigError):
     """No unambiguous entry node could be resolved."""
 
 
-class InvalidSpecError(CfsigError):
-    """Synthetic-graph parameters out of range."""
-
-
 class InvalidMutationError(CfsigError):
     """Mutation operands do not refer to existing graph elements."""
 

@@ -366,6 +366,7 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
     scenario file; it must be a valid CFG), optional
     ``tamper=<node>:<mutation-spec>`` (it must apply to the fixture),
     ``alg``, ``cipher``, ``key`` (it must suit the cipher), ``dead=<node>``.
+    Each key appears at most once.
     """
     path = Path(path)
     fields: dict[str, str] = {}
@@ -380,7 +381,10 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ScenarioError(f"bad scenario line {line!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ScenarioError(f"repeated scenario key {key!r}")
+        fields[key] = value.strip()
 
     unknown = set(fields) - {"n", "fixture", "tamper", "alg", "cipher", "key", "dead"}
     if unknown:

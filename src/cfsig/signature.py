@@ -1,10 +1,12 @@
 """Process signatures: canonical strings, hashing, file format, demo ciphers.
 
 A signature is the sorted set of digests of the canonical strings of a
-graph's peeled arborescence set. The ciphers are deliberately demo-grade
-(the transport model calls for a basic numeric-key scheme); they obfuscate
-but do not authenticate, and wrong-key decryption surfaces as a parse
-failure of the plaintext rather than an integrity error.
+graph's spanning trees. This module alone owns the canonical form and the
+digest order, so the trees may come in any order. The ciphers are
+deliberately demo-grade (the transport model calls for a basic numeric-key
+scheme); they obfuscate but do not authenticate, and wrong-key decryption
+surfaces as a parse failure of the plaintext rather than an integrity
+error.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import enum
 import hashlib
 from dataclasses import dataclass
 
-from .arborescence import Arborescence
+from .cfg import ControlFlowGraph
 from .errors import InvalidKeyError, MalformedPlaintextError
 
 _MASK64 = (1 << 64) - 1
@@ -49,9 +51,16 @@ class Cipher(enum.Enum):
         raise MalformedPlaintextError(f"unknown cipher tag {tag}")
 
 
-def hash_canonical(canonical: str, algorithm: HashAlgorithm) -> str:
+def canonical(tree: ControlFlowGraph) -> str:
+    """Canonical string: sorted node list, sorted edge list, then the root."""
+    nodes = ",".join(sorted(tree.nodes))
+    edges = ",".join(f"{s}>{d}" for s, d in sorted(tree.edges))
+    return f"nodes:{nodes};edges:{edges};root:{tree.entry}"
+
+
+def hash_canonical(text: str, algorithm: HashAlgorithm) -> str:
     h = algorithm.new()
-    h.update(canonical.encode("utf-8"))
+    h.update(text.encode("utf-8"))
     return h.hexdigest()
 
 
@@ -73,10 +82,10 @@ class ProcessSignature:
 
 
 def build_signature(
-    arbs: tuple[Arborescence, ...], algorithm: HashAlgorithm, label: str
+    trees: tuple[ControlFlowGraph, ...], algorithm: HashAlgorithm, label: str
 ) -> ProcessSignature:
-    """Hash each arborescence's canonical string into a sorted digest set."""
-    digests = sorted({hash_canonical(a.canonical(), algorithm) for a in arbs})
+    """Hash each tree's canonical string into a sorted digest set."""
+    digests = sorted({hash_canonical(canonical(t), algorithm) for t in trees})
     return ProcessSignature(algorithm, tuple(digests), label)
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from cfsig import parse_dot
+from cfsig import ControlFlowGraph, parse_dot
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,3 +57,39 @@ def fixture_graphs():
     return [
         (p.stem, parse_dot(p.read_text())) for p in sorted(FIXTURES.glob("*.dot"))
     ]
+
+
+def generate_synthetic(node_count: int, edge_density: float, seed: int) -> ControlFlowGraph:
+    """Deterministically generate a valid CFG from (node_count, density, seed).
+
+    A random spanning arborescence is laid first so every node is reachable,
+    then extra non-loop edges are sampled at the requested density.
+    """
+    if node_count < 1:
+        raise ValueError(f"node_count must be >= 1, got {node_count}")
+    if not 0.0 <= edge_density <= 1.0:
+        raise ValueError(f"edge_density must be in [0, 1], got {edge_density}")
+    if not -(2**63) <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+
+    width = len(str(node_count))
+    names = [f"B{i:0{width}d}" for i in range(1, node_count + 1)]
+    entry = names[0]
+    rng = random.Random(seed)
+
+    placed = [entry]
+    edges = set()
+    rest = names[1:]
+    rng.shuffle(rest)
+    for node in rest:
+        edges.add((rng.choice(placed), node))
+        placed.append(node)
+
+    candidates = sorted(
+        (u, v) for u in names for v in names if u != v and (u, v) not in edges
+    )
+    extra = round(edge_density * len(candidates))
+    if extra:
+        edges.update(rng.sample(candidates, extra))
+
+    return ControlFlowGraph(frozenset(names), frozenset(edges), entry)

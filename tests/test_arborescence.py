@@ -4,20 +4,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfsig.arborescence import arborescence_to_dot
 from cfsig import (
-    Arborescence,
     ControlFlowGraph,
+    canonical,
     enumerate_all_arborescences,
     find_arborescence,
-    generate_synthetic,
     max_edge_disjoint_packing,
     parse_dot,
     peel_edge_disjoint,
+    serialize_dot,
 )
+from cfsig.cfg import reachable_from
 from cfsig.errors import TooLargeError
 
-from .conftest import fixture_graphs
+from .conftest import fixture_graphs, generate_synthetic
+
+
+def check_arborescence(tree):
+    """Assert that *tree* is a spanning arborescence rooted at its entry."""
+    assert len(tree.edges) == len(tree.nodes) - 1
+    indeg = {n: 0 for n in tree.nodes}
+    for _, dst in tree.edges:
+        indeg[dst] += 1
+    assert indeg[tree.entry] == 0
+    assert all(indeg[n] == 1 for n in tree.nodes if n != tree.entry)
+    assert reachable_from(tree.entry, tree.edges) == tree.nodes
 
 
 def reference_find_arborescence(g, available=None):
@@ -44,7 +55,7 @@ def reference_find_arborescence(g, available=None):
         layer = newly
     if reached != set(g.nodes):
         return None
-    return Arborescence(g.entry, g.nodes, frozenset(chosen))
+    return ControlFlowGraph(g.nodes, frozenset(chosen), g.entry)
 
 
 @st.composite
@@ -87,13 +98,11 @@ class TestFindArborescence:
     def test_single_node(self):
         g = parse_dot("digraph g { B1; }")
         arb = find_arborescence(g)
-        assert arb.edges == frozenset() and arb.root == "B1"
+        assert arb.edges == frozenset() and arb.entry == "B1"
 
     def test_debug_dot_export_round_trips(self, diamond):
         arb = find_arborescence(diamond)
-        reparsed = parse_dot(arborescence_to_dot(arb))
-        assert reparsed.nodes == arb.nodes and reparsed.edges == arb.edges
-        assert reparsed.entry == arb.root
+        assert parse_dot(serialize_dot(arb)) == arb
 
     def test_not_spanning(self, diamond):
         assert find_arborescence(diamond, frozenset({("B1", "B2"), ("B2", "B4")})) is None
@@ -108,7 +117,7 @@ class TestFindArborescence:
         g = generate_synthetic(n, density, seed)
         arb = find_arborescence(g)
         assert arb is not None
-        arb.check()
+        check_arborescence(arb)
         assert arb.edges <= g.edges
 
     @given(graphs_with_available())
@@ -153,16 +162,11 @@ class TestPeel:
         g = generate_synthetic(8, 0.5, seed=11)
         a = peel_edge_disjoint(g)
         b = peel_edge_disjoint(g)
-        assert tuple(x.canonical() for x in a) == tuple(x.canonical() for x in b)
+        assert a == b
         items = list(a)
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
                 assert not (items[i].edges & items[j].edges)
-
-    def test_canonical_order(self):
-        g = generate_synthetic(7, 0.8, seed=3)
-        strings = tuple(a.canonical() for a in peel_edge_disjoint(g))
-        assert list(strings) == sorted(strings)
 
 
 class TestEnumerate:
@@ -208,8 +212,8 @@ class TestPacking:
 
     def test_peel_in_enumeration_and_bounded(self):
         for name, g in fixture_graphs():
-            enumerated = {a.canonical() for a in enumerate_all_arborescences(g)}
+            enumerated = {canonical(a) for a in enumerate_all_arborescences(g)}
             peeled = peel_edge_disjoint(g)
             for arb in peeled:
-                assert arb.canonical() in enumerated, name
+                assert canonical(arb) in enumerated, name
             assert len(peeled) <= max_edge_disjoint_packing(g), name

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cfsig import (
     ControlFlowGraph,
     Mutation,
-    generate_synthetic,
     mutate,
     parse_dot,
     parse_graphml,
@@ -24,12 +23,11 @@ from cfsig.errors import (
     DuplicateEdgeError,
     GraphSyntaxError,
     InvalidMutationError,
-    InvalidSpecError,
     ProducesInvalidGraphError,
     UnknownEntryError,
 )
 
-from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs
+from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs, generate_synthetic
 
 DIAMOND = "digraph g { B1 -> B2; B1 -> B3; B2 -> B4; B3 -> B4; }"
 
@@ -458,7 +456,7 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("bad", [(0, 0.5, 1), (3, -0.1, 1), (3, 1.5, 1)])
     def test_invalid_spec(self, bad):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ValueError):
             generate_synthetic(*bad)
 
     @given(
@@ -502,6 +500,7 @@ class TestMutate:
             ("RedirectEdge:B1>B2>B9", "redirect target B9 not a node"),
             ("RedirectEdge:B1>B2>B3", "edge B1>B3 already present"),
             ("SwapNodeIds:B1,B9", "swap operands must exist: B1,B9"),
+            ("SwapNodeIds:B2,B2", "swap operands must differ: B2,B2"),
         ],
     )
     def test_operand_errors(self, diamond, spec, message):

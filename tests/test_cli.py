@@ -194,6 +194,7 @@ class TestSimulate:
             "n=3\nfixture=diamond.dot\nkey=300\n",
             "n=3\nfixture=diamond.dot\ncipher=XorStream\nkey=-1\n",
             "n=3\nfixture=diamond.dot\ncipher=Null\nkey=-1\n",
+            "n=3\nn=5\nfixture=diamond.dot\n",
         ],
     )
     def test_bad_scenario_value_exit_4(self, capsys, corpus, text):
@@ -242,6 +243,13 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--reference", str(refs))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {refs}:3: ")
+
+    def test_repeated_reference_label_exit_1(self, capsys, tmp_path, fixtures_dir):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("wordmean=1\nwordcount=2\nwordmean=3\n")
+        code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--reference", str(refs))
+        assert code == 1 and out == ""
+        assert err == f"error: {refs}:3: repeated label 'wordmean'\n"
 
     def test_invalid_fixture_exit_1(self, capsys, tmp_path):
         (tmp_path / "unreachable.dot").write_text(UNREACHABLE_DOT)

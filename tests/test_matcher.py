@@ -8,7 +8,6 @@ from cfsig import (
     MutationKind,
     Outcome,
     build_signature,
-    generate_synthetic,
     match_cost,
     match_signatures,
     mutate,
@@ -18,7 +17,7 @@ from cfsig.errors import CfsigError
 from cfsig.matcher import DetailKind
 from cfsig.signature import ProcessSignature
 
-from .conftest import fixture_graphs
+from .conftest import fixture_graphs, generate_synthetic
 
 
 def sign(graph, alg=HashAlgorithm.MD5, label="x"):
