@@ -19,12 +19,7 @@ from .cfg import (
     serialize_graphml,
     validate_cfg,
 )
-from .arborescence import (
-    enumerate_all_arborescences,
-    find_arborescence,
-    max_edge_disjoint_packing,
-    peel_edge_disjoint,
-)
+from .arborescence import find_arborescence, peel_edge_disjoint
 from .signature import (
     Cipher,
     EncryptedSignature,
@@ -70,13 +65,11 @@ __all__ = [
     "canonical",
     "decrypt",
     "encrypt",
-    "enumerate_all_arborescences",
     "find_arborescence",
     "hash_canonical",
     "load_graph",
     "match_cost",
     "match_signatures",
-    "max_edge_disjoint_packing",
     "mutate",
     "parse_dot",
     "parse_graphml",

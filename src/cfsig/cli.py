@@ -1,4 +1,4 @@
-"""Command-line front end: sign, match, simulate, bench, oracle.
+"""Command-line front end: sign, match, simulate, bench.
 
 Exit codes are a stable contract: 0 match/clean/success, 1 bad input,
 2 mismatch, 3 bad signature file, 4 scenario error, 5 empty corpus.
@@ -15,11 +15,7 @@ import time
 from pathlib import Path
 
 from . import cfg as cfg_mod
-from .arborescence import (
-    enumerate_all_arborescences,
-    max_edge_disjoint_packing,
-    peel_edge_disjoint,
-)
+from .arborescence import peel_edge_disjoint
 from .errors import CfsigError, InvalidKeyError, ScenarioError
 from .matcher import Outcome, match_signatures
 from .replica import ClusterConfig, Scenario, parse_scenario_file, run_cluster_scenario
@@ -193,20 +189,6 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    graph = cfg_mod.load_graph(args.input)
-    enumerated = enumerate_all_arborescences(graph)
-    packing = max_edge_disjoint_packing(graph)
-    peeled = peel_edge_disjoint(graph)
-    contained = set(peeled) <= set(enumerated)
-    print(f"enumerated: {len(enumerated)}")
-    print(f"max_packing: {packing}")
-    print(f"peeled: {len(peeled)}")
-    print(f"peel_in_enumeration: {contained}")
-    print(f"peel_within_packing: {len(peeled) <= packing}")
-    return EXIT_OK if contained and len(peeled) <= packing else EXIT_BAD_INPUT
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfsig",
@@ -241,10 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", help="file of label=<exec seconds> lines")
     p.add_argument("--csv", help="write machine-readable report here")
     p.set_defaults(func=cmd_bench, error_exit=EXIT_BAD_INPUT)
-
-    p = sub.add_parser("oracle", help="exhaustive arborescence checks on one fixture")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_oracle, error_exit=EXIT_BAD_INPUT)
     return parser
 
 

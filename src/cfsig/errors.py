@@ -34,10 +34,6 @@ class ProducesInvalidGraphError(CfsigError):
     """Applying the mutation would break graph validity."""
 
 
-class TooLargeError(CfsigError):
-    """Exhaustive enumeration refused; graph exceeds the oracle budget."""
-
-
 class InvalidKeyError(CfsigError):
     """Cipher key outside the cipher's key space."""
 

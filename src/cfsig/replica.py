@@ -50,6 +50,8 @@ MSG_ENVELOPE = 1
 MSG_VOTE = 2
 _HEADER = struct.Struct("!4sBHI")  # magic, message type, sender, payload length
 _VOTE = struct.Struct("!HB")  # subject, verdict (1 for Mismatch)
+# Node ids travel as the 16-bit sender and subject fields above.
+MAX_NODES = 1 << 16
 
 # Bounds connecting to a peer and waiting for a phase's frames to be delivered,
 # so a silent peer cannot block a round.
@@ -159,8 +161,8 @@ class ClusterConfig:
     transport: str = "inprocess"  # inprocess | socket
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ScenarioError(f"replication factor must be >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_NODES:
+            raise ScenarioError(f"replication factor must be in 2..{MAX_NODES}, got {self.n}")
         try:
             _check_key(self.cipher, self.key)
         except InvalidKeyError as exc:
@@ -266,14 +268,18 @@ class SocketTransport(Transport):
         super().__init__(n)
         self._selector = selectors.DefaultSelector()
         self.ports: dict[NodeId, int] = {}
-        for i in range(n):
-            srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            srv.setblocking(False)
-            self._selector.register(srv, selectors.EVENT_READ, (i, None))
-            srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            srv.bind(("127.0.0.1", 0))
-            srv.listen(n - 1)  # the frames one node receives in one phase
-            self.ports[i] = srv.getsockname()[1]
+        try:
+            for i in range(n):
+                srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                srv.setblocking(False)
+                self._selector.register(srv, selectors.EVENT_READ, (i, None))
+                srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                srv.bind(("127.0.0.1", 0))
+                srv.listen(n - 1)  # the frames one node receives in one phase
+                self.ports[i] = srv.getsockname()[1]
+        except BaseException:
+            self.close()  # the listeners opened so far
+            raise
 
     def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
         try:

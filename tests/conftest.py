@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from cfsig import ControlFlowGraph, parse_dot
+from cfsig import ControlFlowGraph, canonical, parse_dot
+from cfsig.cfg import reachable_from
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -93,3 +95,36 @@ def generate_synthetic(node_count: int, edge_density: float, seed: int) -> Contr
         edges.update(rng.sample(candidates, extra))
 
     return ControlFlowGraph(frozenset(names), frozenset(edges), entry)
+
+
+ENUMERATION_BUDGET = 10**6
+
+
+def enumerate_all_arborescences(g: ControlFlowGraph) -> list[ControlFlowGraph]:
+    """Exhaustively enumerate every spanning arborescence (test oracle).
+
+    Chooses one incoming edge per non-root node and keeps combinations that
+    are connected from the root, in canonical-string order. Refuses when the
+    choice product exceeds ENUMERATION_BUDGET.
+    """
+    others = sorted(g.nodes - {g.entry})
+    incoming = {
+        n: sorted(e for e in g.edges if e[1] == n and e[0] != n) for n in others
+    }
+    budget = 1
+    for n in others:
+        budget *= len(incoming[n])
+        if budget > ENUMERATION_BUDGET:
+            raise ValueError(
+                f"in-degree product exceeds {ENUMERATION_BUDGET}; oracle refused"
+            )
+    if budget == 0:
+        return []
+
+    result: list[ControlFlowGraph] = []
+    for combo in itertools.product(*(incoming[n] for n in others)):
+        edges = frozenset(combo)
+        if reachable_from(g.entry, edges) == g.nodes:
+            result.append(ControlFlowGraph(g.nodes, edges, g.entry))
+    result.sort(key=canonical)
+    return result

@@ -4,20 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfsig import (
-    ControlFlowGraph,
-    canonical,
-    enumerate_all_arborescences,
-    find_arborescence,
-    max_edge_disjoint_packing,
-    parse_dot,
-    peel_edge_disjoint,
-    serialize_dot,
-)
+from cfsig import ControlFlowGraph, find_arborescence, parse_dot, peel_edge_disjoint, serialize_dot
 from cfsig.cfg import reachable_from
-from cfsig.errors import TooLargeError
 
-from .conftest import fixture_graphs, generate_synthetic
+from .conftest import enumerate_all_arborescences, fixture_graphs, generate_synthetic
 
 
 def check_arborescence(tree):
@@ -29,6 +19,14 @@ def check_arborescence(tree):
     assert indeg[tree.entry] == 0
     assert all(indeg[n] == 1 for n in tree.nodes if n != tree.entry)
     assert reachable_from(tree.entry, tree.edges) == tree.nodes
+
+
+def assert_one_tree_in_enumeration(g, name=""):
+    """The peel of a valid CFG is exactly one tree, and an enumerated one: for
+    V >= 2 the first BFS tree takes every out-edge of the entry."""
+    peeled = peel_edge_disjoint(g)
+    assert len(peeled) == 1, name
+    assert peeled[0] in enumerate_all_arborescences(g), name
 
 
 def reference_find_arborescence(g, available=None):
@@ -151,7 +149,7 @@ class TestPeel:
 
     def test_fanout_within_packing_bound(self, fixtures_dir):
         g = parse_dot((fixtures_dir / "fanout.dot").read_text())
-        assert len(peel_edge_disjoint(g)) <= max_edge_disjoint_packing(g)
+        assert_one_tree_in_enumeration(g)
 
     def test_single_node_convention(self):
         g = parse_dot("digraph g { B1; }")
@@ -198,22 +196,11 @@ class TestEnumerate:
 
     def test_too_large_guard(self):
         g = generate_synthetic(14, 1.0, seed=1)  # complete digraph: 13^13 choices
-        with pytest.raises(TooLargeError):
+        with pytest.raises(ValueError, match="oracle refused"):
             enumerate_all_arborescences(g)
 
 
 class TestPacking:
-    @pytest.mark.parametrize(
-        "name,expected", [("diamond", 1), ("single", 1), ("star", 1), ("triangle", 2)]
-    )
-    def test_fixture_counts(self, fixtures_dir, name, expected):
-        g = parse_dot((fixtures_dir / f"{name}.dot").read_text())
-        assert max_edge_disjoint_packing(g) == expected
-
     def test_peel_in_enumeration_and_bounded(self):
         for name, g in fixture_graphs():
-            enumerated = {canonical(a) for a in enumerate_all_arborescences(g)}
-            peeled = peel_edge_disjoint(g)
-            for arb in peeled:
-                assert canonical(arb) in enumerated, name
-            assert len(peeled) <= max_edge_disjoint_packing(g), name
+            assert_one_tree_in_enumeration(g, name)

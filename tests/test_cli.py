@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import os
@@ -50,6 +51,7 @@ class TestUsage:
             ["simulate", "s.scn", "--alg", "SHA256"],
             ["--alg", "SHA256", "simulate", "s.scn"],
             ["--cipher", "XorStream", "--key", "9", "simulate", "s.scn"],
+            ["oracle", "diamond.dot"],
         ],
     )
     def test_usage_error_exit_1(self, capsys, argv):
@@ -75,6 +77,13 @@ class TestUsage:
     def test_help_exit_0(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out.startswith("usage: cfsig")
+
+    def test_readme_cli_block_lists_every_subcommand(self):
+        readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = {line.split()[1] for line in block.splitlines() if line.startswith("cfsig ")}
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert documented == set(subparsers.choices)
 
 
 class TestSign:
@@ -195,6 +204,7 @@ class TestSimulate:
             "n=3\nfixture=diamond.dot\ncipher=XorStream\nkey=-1\n",
             "n=3\nfixture=diamond.dot\ncipher=Null\nkey=-1\n",
             "n=3\nn=5\nfixture=diamond.dot\n",
+            "n=65537\nfixture=diamond.dot\n",
         ],
     )
     def test_bad_scenario_value_exit_4(self, capsys, corpus, text):
@@ -279,15 +289,6 @@ class TestBench:
         assert err.getvalue().startswith(f"error: {NON_ASCII_STEM}.dot: label ")
 
 
-class TestOracle:
-    def test_diamond(self, capsys, corpus):
-        code, out, _ = run_cli(capsys, "oracle", str(corpus / "diamond.dot"))
-        assert code == 0
-        assert "enumerated: 2" in out
-        assert "max_packing: 1" in out
-        assert "peeled: 1" in out
-
-
 def raising(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -300,13 +301,12 @@ class TestErrorBoundary:
     @pytest.mark.parametrize(
         "command,operands,callee,exc,code",
         [
-            ("oracle", ["diamond.dot"], "peel_edge_disjoint", CfsigError("peel failed"), 1),
             ("match", ["diamond.sig", "diamond.sig"], "match_signatures", CfsigError("match failed"), 3),
             ("simulate", ["s.scn"], "run_cluster_scenario", TransportError("peer unreachable"), 1),
             ("sign", ["diamond.dot"], "serialize_signature", OSError("disk full"), 1),
             ("bench", ["."], "run_cluster_scenario", ScenarioError("round failed"), 1),
         ],
-        ids=["oracle", "match", "simulate", "sign", "bench"],
+        ids=["match", "simulate", "sign", "bench"],
     )
     def test_callee_error(self, capsys, monkeypatch, corpus, command, operands, callee, exc, code):
         run_cli(capsys, "sign", str(corpus / "diamond.dot"))
@@ -318,7 +318,7 @@ class TestErrorBoundary:
 
 
 class TestInputEncoding:
-    @pytest.mark.parametrize("command", ["sign", "oracle"])
+    @pytest.mark.parametrize("command", ["sign"])
     def test_undecodable_graph_exit_1(self, capsys, tmp_path, command):
         bad = tmp_path / "bad.dot"
         bad.write_bytes(UNDECODABLE_DOT)
@@ -456,14 +456,12 @@ SCENARIO_LINES = st.sampled_from(sorted(SCENARIO_VALUES)).flatmap(
 class TestCliFuzz:
     """Whatever the input, the CLI returns an exit code of the contract and raises nothing."""
 
-    @given(GRAPH_BYTES, st.sampled_from([("sign", ".dot"), ("oracle", ".dot"), ("sign", ".graphml")]))
+    @given(GRAPH_BYTES, st.sampled_from([".dot", ".graphml"]))
     @settings(max_examples=150, deadline=None)
-    def test_graph_input(self, fuzz_dir, data, command):
-        name, suffix = command
+    def test_graph_input(self, fuzz_dir, data, suffix):
         path = fuzz_dir / f"g{suffix}"
         path.write_bytes(data)
-        extra = ["--out", str(fuzz_dir / "g.sig")] if name == "sign" else []
-        assert_contract_exit([name, str(path), *extra])
+        assert_contract_exit(["sign", str(path), "--out", str(fuzz_dir / "g.sig")])
 
     @given(SIGNATURE_BYTES, SIGNATURE_BYTES)
     @settings(max_examples=50, deadline=None)

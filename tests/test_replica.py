@@ -101,6 +101,11 @@ class TestFraming:
         with pytest.raises(TransportError):
             decode_frame(raw)
 
+    def test_node_ids_fit_the_frame_fields(self):
+        ClusterConfig(n=replica.MAX_NODES)  # constructing the config builds no node
+        with pytest.raises(ScenarioError, match="2..65536, got 65537"):
+            ClusterConfig(n=65537)
+
     def test_vote_self_reference_prohibited(self):
         with pytest.raises(ValueError):
             VoteMessage(2, 2, Outcome.MATCH)
@@ -274,6 +279,21 @@ class TestSocketTransport:
         )
         assert time.monotonic() - start < 1.0
         assert result.consensus.verdict.kind == "Clean"
+
+    def test_failed_listener_closes_those_opened(self, monkeypatch):
+        bind, calls = socket.socket.bind, []
+
+        def fail_second(sock, address):
+            calls.append(address)
+            if len(calls) == 2:
+                raise OSError("address in use")
+            bind(sock, address)
+
+        monkeypatch.setattr(socket.socket, "bind", fail_second)
+        fds = open_fds()
+        with pytest.raises(OSError, match="address in use"):
+            SocketTransport(3)
+        assert open_fds() == fds
 
     def test_accept_queue_bound_is_checked_at_config(self):
         n = socket.SOMAXCONN + 2  # one node receives n-1 frames per phase
