@@ -9,6 +9,7 @@ order never matters.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterable
@@ -126,11 +127,12 @@ def prune_unreachable(g: ControlFlowGraph) -> ControlFlowGraph:
 def read_utf8(path: Path) -> str:
     """The text of *path* decoded as UTF-8, whatever the locale.
 
-    Raises OSError when the file cannot be read and CfsigError when it is not
-    UTF-8 or its name cannot be encoded for the file system.
+    A leading byte-order mark is dropped. Raises OSError when the file cannot
+    be read and CfsigError when it is not UTF-8 or its name cannot be encoded
+    for the file system.
     """
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeError as exc:
         raise CfsigError(f"cannot read {path} as UTF-8: {exc}") from exc
 
@@ -161,6 +163,7 @@ def load_graph(path: str | Path, prune: bool = False) -> ControlFlowGraph:
 def _resolve_entry(
     nodes: set[BlockId], edges: set[Edge], marked: list[BlockId]
 ) -> BlockId:
+    marked = list(dict.fromkeys(marked))  # one block may be marked more than once
     if len(marked) == 1:
         return marked[0]
     if len(marked) > 1:
@@ -183,35 +186,64 @@ def _resolve_entry(
 
 _DOT_SPECIALS = "{}[];=,"
 
-# One alternative per lexical class, in precedence order: whitespace and
-# comments are skipped, an unclosed "/*" and any other forbidden character
-# are errors. "\s" matches exactly the characters str.isspace() accepts.
+# The characters that are a lexical error on their own: forbidden in an id
+# and not a special. ("-" and "/" are also the start of "->" and comments.)
+_DOT_BAD_CHARS = frozenset(_FORBIDDEN_ID_CHARS - set(_DOT_SPECIALS))
+
+# One match per token. A match first skips whitespace, "//" line comments and
+# closed "/* */" comments, then captures the token in its one group, whose
+# alternatives are tried in this order (it matters only where two can start
+# on the same character):
+#   1. an id: a run of characters neither whitespace nor forbidden;
+#   2. "->", before the lone "-" of 5;
+#   3. a special;
+#   4. an unclosed "/*" with the rest of the text, before the lone "/" of 5
+#      (it runs to the end, so no later "/*" is searched for a close again);
+#   5. any other non-space character, always one of _DOT_BAD_CHARS;
+#   6. the end of the text, as an empty token.
+# "\s" matches exactly the characters str.isspace() accepts. findall builds no
+# match objects, so tokens carry no offsets: an offset is needed only for an
+# error message, and _token_offset re-runs the pattern to find it.
 _DOT_TOKEN = re.compile(
-    r"(?P<skip>\s+|//[^\n]*|/\*.*?\*/)"
-    r"|(?P<open>/\*)"
-    rf"|(?P<token>->|[{re.escape(_DOT_SPECIALS)}])"
-    rf"|(?P<id>[^\s{re.escape(''.join(sorted(_FORBIDDEN_ID_CHARS)))}]+)"
-    r"|(?P<bad>.)",
+    r"\s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*"
+    rf"([^\s{re.escape(''.join(sorted(_FORBIDDEN_ID_CHARS)))}]+"
+    rf"|->|[{re.escape(_DOT_SPECIALS)}]|/\*.*|\S|\Z)",
     re.DOTALL,
 )
 
 
-def _position(text: str, offset: int) -> tuple[int, int]:
-    """The 1-based (line, col) of *offset* in *text*; only "\\n" ends a line."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+def _token_offset(text: str, k: int) -> int:
+    """The offset of token *k* of *text*, or 0 when k < 0."""
+    return next(itertools.islice(_DOT_TOKEN.finditer(text), k, None)).start(1) if k >= 0 else 0
 
 
-def _tokenize_dot(text: str) -> list[tuple[str, int]]:
-    """Split DOT text into (token, offset) pairs, skipping whitespace and comments."""
-    tokens = []
-    for m in _DOT_TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "token" or kind == "id":
-            tokens.append((m.group(), m.start()))
-        elif kind != "skip":
-            message = "unterminated block comment" if kind == "open" else f"unexpected character {m.group()!r}"
-            raise GraphSyntaxError(message, *_position(text, m.start()))
+def _token_error(message: str, text: str, k: int) -> GraphSyntaxError:
+    """A syntax error at the 1-based (line, col) of token *k*; only "\\n" ends a line."""
+    offset = _token_offset(text, k)
+    return GraphSyntaxError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+
+def _tokenize_dot(text: str) -> list[str]:
+    """Split DOT text into tokens, skipping whitespace and comments.
+
+    The list ends with one empty string, the end of the text.
+    """
+    tokens = _DOT_TOKEN.findall(text)
+    if not _DOT_BAD_CHARS.isdisjoint(tokens):
+        k = next(k for k, tok in enumerate(tokens) if tok in _DOT_BAD_CHARS)
+        raise _token_error(f"unexpected character {tokens[k]!r}", text, k)
+    if len(tokens) > 1:
+        last = tokens[-2]
+        if not last:  # skipped text before the end matches the end a second time
+            tokens.pop()
+        elif last.startswith("/*"):
+            raise _token_error("unterminated block comment", text, len(tokens) - 2)
     return tokens
+
+
+# The tokens that cannot stand where an id is expected; "" is the end. Every
+# other token is an id that check_block_id accepts (the pattern's id class).
+_DOT_NOT_ID = frozenset(_DOT_SPECIALS) | {"->", ""}
 
 
 def parse_dot(text: str) -> ControlFlowGraph:
@@ -221,63 +253,63 @@ def parse_dot(text: str) -> ControlFlowGraph:
     declarations (``B1;``, optionally ``B1 [entry=true];``) and edges
     (``B1 -> B2;``). ``//`` and ``/* */`` comments are stripped.
     """
-    tokens: list[tuple[str | None, int]] = _tokenize_dot(text)
-    # An end marker at the last token, where "unexpected end of input" is reported.
-    tokens.append((None, tokens[-1][1] if tokens else 0))
-    i = 0
+    tokens = _tokenize_dot(text)
 
-    def error(message: str, offset: int) -> GraphSyntaxError:
-        return GraphSyntaxError(message, *_position(text, offset))
+    def unexpected(k: int, expected: str | None = None) -> GraphSyntaxError:
+        """The error for token *k*, which is not *expected* (None: an id)."""
+        tok = tokens[k]
+        if not tok:  # reported at the last token
+            return _token_error(f"unexpected end of input, expected {expected or 'token'}", text, k - 1)
+        if expected is None:
+            return _token_error(f"expected identifier, found {tok!r}", text, k)
+        return _token_error(f"expected {expected!r}, found {tok!r}", text, k)
 
-    def take(expected: str | None = None) -> str:
-        nonlocal i
-        tok, offset = tokens[i]
-        if tok is None:
-            raise error(f"unexpected end of input, expected {expected or 'token'}", offset)
-        if expected is not None and tok != expected:
-            raise error(f"expected {expected!r}, found {tok!r}", offset)
-        i += 1
-        return tok
+    if tokens[0] != "digraph":
+        raise _token_error(f"expected 'digraph', found {tokens[0]!r}", text, 0) if tokens[0] else unexpected(0)
+    i = 1
+    if tokens[1] not in ("", "{"):  # graph name, ignored
+        if tokens[1] in _DOT_NOT_ID:
+            raise unexpected(1)
+        i = 2
+    if tokens[i] != "{":
+        raise unexpected(i, "{")
+    i += 1
 
-    def take_id() -> str:
-        tok = take()
-        if tok in _DOT_SPECIALS or tok == "->":
-            raise error(f"expected identifier, found {tok!r}", tokens[i - 1][1])
-        # The tokenizer's id class admits only what check_block_id accepts.
-        return tok
-
-    if take() != "digraph":
-        raise error(f"expected 'digraph', found {tokens[0][0]!r}", tokens[0][1])
-    if tokens[i][0] not in (None, "{"):
-        take_id()  # graph name, ignored
-    take("{")
-
-    nodes, edges, marked = set(), set(), []
-    while tokens[i][0] != "}":
-        if tokens[i][0] is None:
-            raise GraphSyntaxError("missing closing '}'")
-        first = take_id()
+    nodes: set[BlockId] = set()
+    edges: set[Edge] = set()
+    marked: list[BlockId] = []
+    while (first := tokens[i]) != "}":
+        if first in _DOT_NOT_ID:
+            if not first:
+                raise GraphSyntaxError("missing closing '}'")
+            raise unexpected(i)
         nodes.add(first)
-        if tokens[i][0] == "->":
-            i += 1
-            second = take_id()
+        op = tokens[i + 1]
+        if op == "->":
+            second = tokens[i + 2]
+            if second in _DOT_NOT_ID:
+                raise unexpected(i + 2)
             nodes.add(second)
             if (first, second) in edges:
                 raise DuplicateEdgeError(f"duplicate edge {first} -> {second}")
             edges.add((first, second))
-        elif tokens[i][0] == "[":
-            i += 1
-            key_offset = tokens[i][1]
-            key = take_id()
-            take("=")
-            val = take_id()
-            take("]")
+            i += 3
+        elif op == "[":
+            for k, expected in enumerate((None, "=", None, "]"), i + 2):
+                if tokens[k] in _DOT_NOT_ID if expected is None else tokens[k] != expected:
+                    raise unexpected(k, expected)
+            key, val = tokens[i + 2], tokens[i + 4]
             if key != "entry" or val != "true":
-                raise error(f"unsupported attribute {key}={val}", key_offset)
+                raise _token_error(f"unsupported attribute {key}={val}", text, i + 2)
             marked.append(first)
-        take(";")
-    if tokens[i + 1][0] is not None:
-        raise error(f"trailing input {tokens[i + 1][0]!r}", tokens[i + 1][1])
+            i += 6
+        else:
+            i += 1
+        if tokens[i] != ";":
+            raise unexpected(i, ";")
+        i += 1
+    if tokens[i + 1]:
+        raise _token_error(f"trailing input {tokens[i + 1]!r}", text, i + 1)
     if not nodes:
         raise GraphSyntaxError("graph has no nodes")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from typing import NamedTuple
 
 import pytest
@@ -17,7 +18,14 @@ from cfsig import (
     serialize_graphml,
     validate_cfg,
 )
-from cfsig.cfg import _DOT_SPECIALS, _FORBIDDEN_ID_CHARS, _resolve_entry, _tokenize_dot, check_block_id
+from cfsig.cfg import (
+    _DOT_SPECIALS,
+    _FORBIDDEN_ID_CHARS,
+    _resolve_entry,
+    _token_offset,
+    _tokenize_dot,
+    check_block_id,
+)
 from cfsig.errors import (
     CfsigError,
     DuplicateEdgeError,
@@ -162,6 +170,13 @@ def reference_parse_dot(text: str) -> ControlFlowGraph:
     return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
 
 
+def tokens_with_offsets(text: str) -> list[Token]:
+    """_tokenize_dot's tokens before its end marker, each with its offset."""
+    tokens = _tokenize_dot(text)
+    assert tokens.index("") == len(tokens) - 1  # exactly one end marker, last
+    return [Token(tok, _token_offset(text, k)) for k, tok in enumerate(tokens[:-1])]
+
+
 def tokenize_outcome(tokenize, text: str):
     """Tokens as (text, offset) pairs, or the error's message and position."""
     try:
@@ -257,7 +272,7 @@ class TestParseDot:
     @given(st.text(alphabet=DOT_ALPHABET, max_size=60))
     @settings(max_examples=400, deadline=None)
     def test_tokenizer_matches_reference(self, text):
-        assert tokenize_outcome(_tokenize_dot, text) == tokenize_outcome(
+        assert tokenize_outcome(tokens_with_offsets, text) == tokenize_outcome(
             reference_tokenize_dot, text
         )
 
@@ -269,16 +284,34 @@ class TestParseDot:
             tokens = _tokenize_dot(text)
         except GraphSyntaxError:
             return
-        for tok, _ in tokens:
+        assert tokens[-1] == ""
+        for tok in tokens[:-1]:
             if tok not in _DOT_SPECIALS and tok != "->":
                 check_block_id(tok)
 
     def test_tokenizer_matches_reference_on_fixtures(self, fixtures_dir):
         for path in sorted(fixtures_dir.rglob("*.dot")):
             text = path.read_text()
-            assert tokenize_outcome(_tokenize_dot, text) == tokenize_outcome(
+            assert tokenize_outcome(tokens_with_offsets, text) == tokenize_outcome(
                 reference_tokenize_dot, text
             ), path.name
+
+    @pytest.mark.parametrize(
+        "text,tokens",
+        [
+            ("digraph g { B1; }", ["digraph", "g", "{", "B1", ";", "}", ""]),
+            ("digraph g { B1; } \n", ["digraph", "g", "{", "B1", ";", "}", ""]),
+            ("digraph g { B1; } // end", ["digraph", "g", "{", "B1", ";", "}", ""]),
+            ("digraph g { B1; } /* end */", ["digraph", "g", "{", "B1", ";", "}", ""]),
+            ("", [""]),
+            (" \n", [""]),
+            ("// end", [""]),
+            ("/* end */", [""]),
+        ],
+    )
+    def test_tokens_end_with_one_end_marker(self, text, tokens):
+        # Skipped text before the end makes the pattern match the end twice.
+        assert _tokenize_dot(text) == tokens
 
     @given(dot_texts)
     @settings(max_examples=400, deadline=None)
@@ -299,6 +332,30 @@ class TestParseDot:
             assert parse_outcome(parse_dot, text) == parse_outcome(
                 reference_parse_dot, text
             ), path.name
+
+    def test_parser_matches_reference_on_edited_fixtures(self, fixtures_dir):
+        # One deleted, inserted or truncating edit per case puts errors deep
+        # inside real-size texts, where offsets are looked up only on error.
+        texts = [path.read_text() for path in sorted(fixtures_dir.rglob("*.dot"))]
+        rng = random.Random(20161)
+        for _ in range(2000):
+            text = rng.choice(texts)
+            at = rng.randrange(len(text) + 1)
+            edit = rng.choice(["delete", "insert", "truncate"])
+            if edit == "delete":
+                text = text[:at] + text[at + 1:]
+            elif edit == "insert":
+                text = text[:at] + rng.choice(DOT_ALPHABET) + text[at:]
+            else:
+                text = text[:at]
+            assert parse_outcome(parse_dot, text) == parse_outcome(reference_parse_dot, text), (edit, at)
+
+    def test_repeated_entry_marker_on_one_block(self):
+        g = parse_dot("digraph g { B1 [entry=true]; B1 [entry=true]; B1 -> B2; }")
+        assert g.entry == "B1"
+        with pytest.raises(UnknownEntryError) as exc:
+            parse_dot("digraph g { B2 [entry=true]; B1 [entry=true]; B2 [entry=true]; B1 -> B2; }")
+        assert str(exc.value) == "multiple nodes marked as entry: ['B1', 'B2']"
 
     @pytest.mark.parametrize(
         "text",
@@ -382,6 +439,16 @@ class TestParseGraphml:
             '<graphml><key id="d0" for="node" attr.name="entry"/>'
             '<graph edgedefault="directed">'
             '<node id="B1"/><node id="B2"><data key="d0">true</data></node>'
+            '<edge source="B1" target="B2"/><edge source="B2" target="B1"/>'
+            "</graph></graphml>"
+        )
+        assert parse_graphml(text).entry == "B2"
+
+    def test_entry_marked_under_both_keys(self):
+        text = (
+            '<graphml><key id="d0" for="node" attr.name="entry"/>'
+            '<graph edgedefault="directed">'
+            '<node id="B1"/><node id="B2"><data key="entry">true</data><data key="d0">true</data></node>'
             '<edge source="B1" target="B2"/><edge source="B2" target="B1"/>'
             "</graph></graphml>"
         )

@@ -366,6 +366,22 @@ class TestInputEncoding:
             assert code == 0 and out == "digests: 1\n"
         assert (tmp_path / "a.sig").read_bytes() == (tmp_path / "b.sig").read_bytes()
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, fixtures_dir):
+        (tmp_path / "bom").mkdir()
+        original = (fixtures_dir / "diamond.dot").read_bytes()
+        (tmp_path / "diamond.dot").write_bytes(original)
+        (tmp_path / "bom" / "diamond.dot").write_bytes(b"\xef\xbb\xbf" + original)
+        for path, sig in ((tmp_path / "diamond.dot", "a.sig"), (tmp_path / "bom" / "diamond.dot", "b.sig")):
+            code, out, _ = run_cli(capsys, "sign", str(path), "--out", str(tmp_path / sig))
+            assert code == 0 and out == "digests: 1\n"
+        assert (tmp_path / "a.sig").read_bytes() == (tmp_path / "b.sig").read_bytes()
+
+    def test_scenario_with_byte_order_mark_runs(self, capsys, corpus):
+        scn = corpus / "bom.scn"
+        scn.write_bytes(b"\xef\xbb\xbfn=3\nfixture=diamond.dot\n")
+        code, out, _ = run_cli(capsys, "simulate", str(scn))
+        assert code == 0 and out.strip() == "CLEAN"
+
     def test_signing_does_not_depend_on_the_locale(self, capsys, tmp_path):
         (tmp_path / "g.dot").write_text(NON_ASCII_DOT, encoding="utf-8")
         assert run_cli(capsys, "sign", str(tmp_path / "g.dot"), "--out", str(tmp_path / "here.sig"))[0] == 0
