@@ -14,6 +14,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import (
@@ -33,9 +34,15 @@ Edge = tuple[BlockId, BlockId]
 # banned so that distinct graphs can never collide on one canonical string.
 _FORBIDDEN_ID_CHARS = set('"[];{}=<>,:-/')
 
+# A block id: a run of characters neither whitespace nor forbidden. "\s"
+# matches exactly the characters str.isspace() accepts.
+_BLOCK_ID = re.compile(rf"[^\s{re.escape(''.join(sorted(_FORBIDDEN_ID_CHARS)))}]+")
+
 
 def check_block_id(token: str) -> None:
     """Raise GraphSyntaxError unless *token* is usable as a block id."""
+    if _BLOCK_ID.fullmatch(token):
+        return
     if not token:
         raise GraphSyntaxError("empty block id")
     for ch in token:
@@ -194,19 +201,19 @@ _DOT_BAD_CHARS = frozenset(_FORBIDDEN_ID_CHARS - set(_DOT_SPECIALS))
 # closed "/* */" comments, then captures the token in its one group, whose
 # alternatives are tried in this order (it matters only where two can start
 # on the same character):
-#   1. an id: a run of characters neither whitespace nor forbidden;
+#   1. an id, as _BLOCK_ID matches it;
 #   2. "->", before the lone "-" of 5;
 #   3. a special;
 #   4. an unclosed "/*" with the rest of the text, before the lone "/" of 5
 #      (it runs to the end, so no later "/*" is searched for a close again);
 #   5. any other non-space character, always one of _DOT_BAD_CHARS;
 #   6. the end of the text, as an empty token.
-# "\s" matches exactly the characters str.isspace() accepts. findall builds no
-# match objects, so tokens carry no offsets: an offset is needed only for an
-# error message, and _token_offset re-runs the pattern to find it.
+# findall builds no match objects, so tokens carry no offsets: an offset is
+# needed only for an error message, and _token_offset re-runs the pattern to
+# find it.
 _DOT_TOKEN = re.compile(
     r"\s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*"
-    rf"([^\s{re.escape(''.join(sorted(_FORBIDDEN_ID_CHARS)))}]+"
+    rf"({_BLOCK_ID.pattern}"
     rf"|->|[{re.escape(_DOT_SPECIALS)}]|/\*.*|\S|\Z)",
     re.DOTALL,
 )
@@ -334,40 +341,43 @@ def serialize_dot(g: ControlFlowGraph, name: str = "g") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def parse_graphml(text: str) -> ControlFlowGraph:
     """Parse the supported GraphML subset; namespaces are ignored."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise GraphSyntaxError(f"not well-formed XML: {exc}") from exc
-    if _local_name(root.tag) != "graphml":
-        raise GraphSyntaxError(f"expected <graphml> root, found <{_local_name(root.tag)}>")
+    # Each distinct tag, with or without a namespace, is mapped to its local name once.
+    local = {tag: tag.rsplit("}", 1)[-1] for tag in set(map(attrgetter("tag"), root.iter()))}
+
+    def tags(name: str) -> set[str]:
+        return {tag for tag, local_name in local.items() if local_name == name}
+
+    if local[root.tag] != "graphml":
+        raise GraphSyntaxError(f"expected <graphml> root, found <{local[root.tag]}>")
 
     # <key id="d0" attr.name="entry"/> declarations may alias the entry key.
     entry_keys = {"entry"}
-    for key_el in root.iter():
-        if _local_name(key_el.tag) == "key" and key_el.get("attr.name") == "entry":
+    for tag in tags("key"):
+        for key_el in root.iter(tag):
             kid = key_el.get("id")
-            if kid:
+            if kid and key_el.get("attr.name") == "entry":
                 entry_keys.add(kid)
 
-    graph = next((el for el in root.iter() if _local_name(el.tag) == "graph"), None)
+    graph_tags = tags("graph")
+    graph = next((el for el in root.iter() if el.tag in graph_tags), None)
     if graph is None:
         raise GraphSyntaxError("missing <graph> element")
     default = graph.get("edgedefault", "directed")
     if default != "directed":
         raise GraphSyntaxError(f"unsupported edgedefault {default!r}")
 
+    node_tags, edge_tags, data_tags = tags("node"), tags("edge"), tags("data")
     nodes: set[BlockId] = set()
     edges: set[Edge] = set()
     marked: list[BlockId] = []
     for el in graph:
-        tag = _local_name(el.tag)
-        if tag == "node":
+        if el.tag in node_tags:
             nid = el.get("id")
             if nid is None:
                 raise GraphSyntaxError("<node> without id attribute")
@@ -376,13 +386,16 @@ def parse_graphml(text: str) -> ControlFlowGraph:
                 raise GraphSyntaxError(f"duplicate node id {nid!r}")
             nodes.add(nid)
             for data in el:
-                if _local_name(data.tag) == "data" and data.get("key") in entry_keys:
+                if data.tag in data_tags and data.get("key") in entry_keys:
                     if (data.text or "").strip().lower() == "true":
                         marked.append(nid)
-        elif tag == "edge":
+        elif el.tag in edge_tags:
             src, dst = el.get("source"), el.get("target")
             if src is None or dst is None:
                 raise GraphSyntaxError("<edge> missing source or target")
+            directed = el.get("directed", "true")
+            if directed != "true":
+                raise GraphSyntaxError(f"unsupported directed={directed!r} on edge {src!r} -> {dst!r}")
             if src not in nodes or dst not in nodes:
                 raise GraphSyntaxError(f"edge {src!r} -> {dst!r} references undeclared node")
             if (src, dst) in edges:

@@ -529,7 +529,10 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
     def tally(node: ReplicaNode):
         for votes in receive(node, "vote", subject_votes):
             node.votes.extend(votes)
-        votes = sorted(set(node.votes), key=lambda v: (v.sender, v.subject))
+        # One vote per (sender, subject, verdict), the first seen, in key order (Match
+        # before Mismatch). Keys of plain ints and bools hash in C, unlike VoteMessages.
+        first = {(v.sender, v.subject, v.verdict is Outcome.MISMATCH): v for v in reversed(node.votes)}
+        votes = [first[key] for key in sorted(first)]
         verdict = conclude_round(len(live), votes)
         rounds[node.id] = ConsensusRound(tuple(votes), verdict)
 

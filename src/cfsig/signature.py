@@ -19,6 +19,7 @@ from .cfg import ControlFlowGraph
 from .errors import InvalidKeyError, MalformedPlaintextError
 
 _MASK64 = (1 << 64) - 1
+_ALL_BYTES = bytes(range(256))
 
 
 class HashAlgorithm(enum.Enum):
@@ -26,9 +27,8 @@ class HashAlgorithm(enum.Enum):
     SHA1 = "SHA1"
     SHA256 = "SHA256"
 
-    @property
-    def digest_hex_len(self) -> int:
-        return {"MD5": 32, "SHA1": 40, "SHA256": 64}[self.value]
+    def __init__(self, value: str) -> None:
+        self.digest_hex_len = {"MD5": 32, "SHA1": 40, "SHA256": 64}[value]
 
     def new(self):
         return hashlib.new(self.value.lower())
@@ -39,16 +39,18 @@ class Cipher(enum.Enum):
     SHIFT_BYTE = "ShiftByte"
     XOR_STREAM = "XorStream"
 
-    @property
-    def wire_tag(self) -> int:
-        return {"Null": 0, "ShiftByte": 1, "XorStream": 2}[self.value]
+    def __init__(self, value: str) -> None:
+        self.wire_tag = {"Null": 0, "ShiftByte": 1, "XorStream": 2}[value]
 
     @classmethod
     def from_wire_tag(cls, tag: int) -> Cipher:
-        for c in cls:
-            if c.wire_tag == tag:
-                return c
-        raise MalformedPlaintextError(f"unknown cipher tag {tag}")
+        cipher = _CIPHERS_BY_TAG.get(tag)
+        if cipher is None:
+            raise MalformedPlaintextError(f"unknown cipher tag {tag}")
+        return cipher
+
+
+_CIPHERS_BY_TAG = {c.wire_tag: c for c in Cipher}
 
 
 def canonical(tree: ControlFlowGraph) -> str:
@@ -75,7 +77,7 @@ class ProcessSignature:
     def __post_init__(self) -> None:
         want = self.algorithm.digest_hex_len
         for d in self.digests:
-            if len(d) != want or any(c not in "0123456789abcdef" for c in d):
+            if len(d) != want or d.strip("0123456789abcdef"):
                 raise MalformedPlaintextError(f"bad {self.algorithm.value} digest {d!r}")
         if list(self.digests) != sorted(set(self.digests)):
             raise MalformedPlaintextError("digests must be strictly ascending")
@@ -184,8 +186,9 @@ def _apply_cipher(cipher: Cipher, key: int, data: bytes, forward: bool) -> bytes
     if cipher is Cipher.NULL:
         return data
     if cipher is Cipher.SHIFT_BYTE:
-        delta = key if forward else -key
-        return bytes((b + delta) % 256 for b in data)
+        shift = (key if forward else -key) % 256
+        # A rotation of the identity table maps each byte b to (b + shift) % 256.
+        return data.translate(_ALL_BYTES[shift:] + _ALL_BYTES[:shift])
     stream = _keystream(key, len(data))
     return bytes(b ^ s for b, s in zip(data, stream))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import xml.etree.ElementTree as ET
 from typing import NamedTuple
 
 import pytest
@@ -168,6 +169,150 @@ def reference_parse_dot(text: str) -> ControlFlowGraph:
 
     entry = _resolve_entry(nodes, edges, marked)
     return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
+
+
+def _local_name(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
+
+
+def reference_parse_graphml(text: str) -> ControlFlowGraph:
+    """parse_graphml as it was before its one-pass rewrite, which must agree with it."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise GraphSyntaxError(f"not well-formed XML: {exc}") from exc
+    if _local_name(root.tag) != "graphml":
+        raise GraphSyntaxError(f"expected <graphml> root, found <{_local_name(root.tag)}>")
+
+    entry_keys = {"entry"}
+    for key_el in root.iter():
+        if _local_name(key_el.tag) == "key" and key_el.get("attr.name") == "entry":
+            kid = key_el.get("id")
+            if kid:
+                entry_keys.add(kid)
+
+    graph = next((el for el in root.iter() if _local_name(el.tag) == "graph"), None)
+    if graph is None:
+        raise GraphSyntaxError("missing <graph> element")
+    default = graph.get("edgedefault", "directed")
+    if default != "directed":
+        raise GraphSyntaxError(f"unsupported edgedefault {default!r}")
+
+    nodes: set[str] = set()
+    edges: set[tuple[str, str]] = set()
+    marked: list[str] = []
+    for el in graph:
+        tag = _local_name(el.tag)
+        if tag == "node":
+            nid = el.get("id")
+            if nid is None:
+                raise GraphSyntaxError("<node> without id attribute")
+            if not nid:
+                raise GraphSyntaxError("empty block id")
+            for ch in nid:
+                if ch.isspace() or ch in _FORBIDDEN_ID_CHARS:
+                    raise GraphSyntaxError(f"illegal character {ch!r} in block id {nid!r}")
+            if nid in nodes:
+                raise GraphSyntaxError(f"duplicate node id {nid!r}")
+            nodes.add(nid)
+            for data in el:
+                if _local_name(data.tag) == "data" and data.get("key") in entry_keys:
+                    if (data.text or "").strip().lower() == "true":
+                        marked.append(nid)
+        elif tag == "edge":
+            src, dst = el.get("source"), el.get("target")
+            if src is None or dst is None:
+                raise GraphSyntaxError("<edge> missing source or target")
+            if src not in nodes or dst not in nodes:
+                raise GraphSyntaxError(f"edge {src!r} -> {dst!r} references undeclared node")
+            if (src, dst) in edges:
+                raise DuplicateEdgeError(f"duplicate edge {src} -> {dst}")
+            edges.add((src, dst))
+    if not nodes:
+        raise GraphSyntaxError("graph has no nodes")
+
+    entry = _resolve_entry(nodes, edges, marked)
+    return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
+
+
+# Valid ids, some non-ASCII, and ids that are forbidden (whitespace, ",",
+# empty); keys that alias the entry or not. No edge carries a "directed"
+# attribute: parse_graphml rejects "false" there on purpose, where the
+# reference reads a directed edge.
+GRAPHML_VALID_IDS = ["B1", "B2", "B3", "B4", "B5", "B\u00e9", "\u65e5"]
+GRAPHML_IDS = [*GRAPHML_VALID_IDS, "B 5", "B,6", ""]
+GRAPHML_KEYS = ["entry", "d0", "d1", ""]
+# Characters whose insertion breaks a tag, renames an element or attribute, or
+# makes an id invalid.
+GRAPHML_ALPHABET = '<>/="!:,{} \t\ngdenokyB1\u00e9'
+
+# graphml_texts draws only from these, built once: building strategies inside
+# each example costs more than the example.
+_GML = {
+    "ids": {False: st.sampled_from(GRAPHML_VALID_IDS), True: st.sampled_from(GRAPHML_IDS)},
+    "prefix": st.sampled_from(["", "g:"]),
+    "key": st.sampled_from(GRAPHML_KEYS),
+    "key_name": st.sampled_from(["entry", "color"]),
+    "value": st.sampled_from(["true", " True ", "false", ""]),
+    "item": st.sampled_from(["node", "edge", "edge", "desc", "data"]),
+    "flaw": st.sampled_from([None] * 6 + ["root", "no-graph", "undirected"]),
+    "xmlns": st.sampled_from(["", ' xmlns="http://graphml.graphdrawing.org/xmlns"']),
+    "partial": st.sampled_from([False, False, True]),
+}
+
+
+@st.composite
+def graphml_texts(draw) -> str:
+    """GraphML documents over the subset's elements, most of them with a <graph>.
+
+    Each element is either unprefixed or in the "g:" prefix, and the root may
+    also declare a default namespace. After a few nodes, nodes, edges, <desc>
+    and <data> come in any order, so an edge may precede the nodes it names,
+    and an element may repeat. A document draws its ids either from the valid
+    ones only or from all of them, and its elements may miss attributes only
+    if it is partial.
+    """
+    ids, partial = _GML["ids"][draw(st.booleans())], draw(_GML["partial"])
+
+    def element(name: str, attrs: dict, body: str = "") -> str:
+        """<name> with each of *attrs* (name to a zero-argument value maker)."""
+        values = {k: make() for k, make in attrs.items()}
+        if partial and draw(st.booleans()):
+            values = {k: v for k, v in values.items() if draw(st.booleans())}
+        t = draw(_GML["prefix"]) + name
+        text = "".join(f' {k}="{v}"' for k, v in values.items())
+        return f"<{t}{text}>{body}</{t}>" if body else f"<{t}{text}/>"
+
+    def data() -> str:
+        return element("data", {"key": lambda: draw(_GML["key"])}, draw(_GML["value"]))
+
+    def node(make_id) -> str:
+        return element("node", {"id": make_id}, "".join(data() for _ in range(draw(st.integers(0, 2)))))
+
+    declared = list(dict.fromkeys(draw(ids) for _ in range(draw(st.integers(0, 4)))))
+    endpoint = lambda: draw(st.sampled_from(declared)) if declared and draw(st.booleans()) else draw(ids)
+    items = [node(lambda: nid) for nid in declared]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(_GML["item"])
+        items.append(
+            node(lambda: draw(ids)) if kind == "node"
+            else element("edge", {"source": endpoint, "target": endpoint}) if kind == "edge"
+            else element("desc", {}, "a comment") if kind == "desc"
+            else data()
+        )
+    if items:  # a repeated element, often a duplicate edge
+        items += [draw(st.sampled_from(items)) for _ in range(draw(st.integers(0, 2)))]
+    flaw = draw(_GML["flaw"])
+    edgedefault = lambda: "undirected" if flaw == "undirected" else "directed"
+    graph = "" if flaw == "no-graph" else element("graph", {"edgedefault": edgedefault}, "".join(items))
+
+    def keys() -> str:
+        attrs = {"id": lambda: draw(_GML["key"]), "attr.name": lambda: draw(_GML["key_name"])}
+        return "".join(element("key", {**attrs, "for": lambda: "node"}) for _ in range(draw(st.integers(0, 2))))
+
+    root = "graph" if flaw == "root" else draw(_GML["prefix"]) + "graphml"
+    return (f'<{root}{draw(_GML["xmlns"])} xmlns:g="http://graphml.graphdrawing.org/xmlns">'
+            + keys() + graph + keys() + f"</{root}>")
 
 
 def tokens_with_offsets(text: str) -> list[Token]:
@@ -426,12 +571,46 @@ class TestParseGraphml:
             (graphml('<node id="B1"/><node id="B2"/>' + '<edge source="B1" target="B2"/>' * 2),
              DuplicateEdgeError, "duplicate edge B1 -> B2"),
             (graphml(""), GraphSyntaxError, "graph has no nodes"),
+            (graphml('<node id="B 5"/>'), GraphSyntaxError, "illegal character ' ' in block id 'B 5'"),
+            (graphml('<node id="B&#9;5"/>'), GraphSyntaxError, r"illegal character '\t' in block id 'B\t5'"),
+            (graphml('<node id="B,6"/>'), GraphSyntaxError, "illegal character ',' in block id 'B,6'"),
+            (graphml('<node id=""/>'), GraphSyntaxError, "empty block id"),
+            (graphml('<node id="A"/><node id="B"/><edge source="A" target="B" directed="false"/>'),
+             GraphSyntaxError, "unsupported directed='false' on edge 'A' -> 'B'"),
         ],
-        ids=["root", "no-graph", "node-id", "duplicate-node", "edge-source", "duplicate-edge", "no-nodes"],
+        ids=["root", "no-graph", "node-id", "duplicate-node", "edge-source", "duplicate-edge", "no-nodes",
+             "space-id", "tab-id", "comma-id", "empty-id", "undirected-edge"],
     )
     def test_rejects(self, text, error, message):
-        with pytest.raises(error, match=message):
+        with pytest.raises(error) as exc:
             parse_graphml(text)
+        assert str(exc.value) == message
+
+    def test_directed_edge_attribute(self):
+        text = graphml('<node id="A"/><node id="B"/><edge source="A" target="B" directed="true"/>')
+        assert parse_graphml(text).edges == {("A", "B")}
+
+    @given(graphml_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_parser_matches_reference(self, text):
+        assert parse_outcome(parse_graphml, text) == parse_outcome(reference_parse_graphml, text)
+
+    def test_parser_matches_reference_on_edited_graphs(self, fixtures_dir):
+        # One deleted, inserted or truncating edit per case, in every fixture
+        # and bench-corpus graph as serialize_graphml writes it.
+        texts = [serialize_graphml(parse_dot(path.read_text())) for path in sorted(fixtures_dir.rglob("*.dot"))]
+        rng = random.Random(20162)
+        for _ in range(2000):
+            text = rng.choice(texts)
+            at = rng.randrange(len(text) + 1)
+            edit = rng.choice(["delete", "insert", "truncate"])
+            if edit == "delete":
+                text = text[:at] + text[at + 1:]
+            elif edit == "insert":
+                text = text[:at] + rng.choice(GRAPHML_ALPHABET) + text[at:]
+            else:
+                text = text[:at]
+            assert parse_outcome(parse_graphml, text) == parse_outcome(reference_parse_graphml, text), (edit, at)
 
     def test_entry_key_alias(self):
         # Each node has an in-edge, so only the marker can name the entry.
@@ -441,6 +620,15 @@ class TestParseGraphml:
             '<node id="B1"/><node id="B2"><data key="d0">true</data></node>'
             '<edge source="B1" target="B2"/><edge source="B2" target="B1"/>'
             "</graph></graphml>"
+        )
+        assert parse_graphml(text).entry == "B2"
+
+    def test_entry_key_alias_declared_after_graph(self):
+        text = (
+            '<graphml><graph edgedefault="directed">'
+            '<node id="B1"/><node id="B2"><data key="d0">true</data></node>'
+            '<edge source="B1" target="B2"/><edge source="B2" target="B1"/>'
+            '</graph><key id="d0" for="node" attr.name="entry"/></graphml>'
         )
         assert parse_graphml(text).entry == "B2"
 

@@ -357,6 +357,25 @@ class TestDroppedFrames:
         assert drops[0].startswith(f"drop phase={phase} node=") and reason in drops[0]
         assert result.consensus.verdict.kind == "Clean"
 
+    def test_conflicting_votes_tally_match_first(self, monkeypatch, diamond):
+        # Node 0's frame to node 1 votes both Match and Mismatch about node 2 (and
+        # nothing about node 1). The tally keeps both, Match first, whatever the hash seed.
+        receivers = []
+
+        def mangle(raw, receiver):
+            receivers.append(receiver)
+            return reframed(MSG_VOTE, b"\x00\x02\x00" + b"\x00\x02\x01", sender=0)(raw, receiver)
+
+        monkeypatch.setattr(InProcessTransport, "send", mangled(MSG_VOTE, mangle))
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
+        assert receivers == [1]
+        votes = result.rounds_per_node[1].votes
+        assert [(v.sender, v.subject, v.verdict) for v in votes] == [
+            (0, 2, Outcome.MATCH), (0, 2, Outcome.MISMATCH),
+            (1, 0, Outcome.MATCH), (1, 2, Outcome.MATCH),
+            (2, 0, Outcome.MATCH), (2, 1, Outcome.MATCH),
+        ]
+
     def test_send_error_is_logged(self, monkeypatch, diamond):
         original = InProcessTransport.send
 

@@ -12,6 +12,7 @@ from cfsig import (
     ControlFlowGraph,
     HashAlgorithm,
     Mutation,
+    ProcessSignature,
     build_signature,
     canonical,
     decrypt,
@@ -137,12 +138,39 @@ class TestBuildSignature:
         with pytest.raises(MalformedPlaintextError):
             parse_signature(data)
 
+    @pytest.mark.parametrize(
+        "digest", [DIAMOND_MD5.upper(), DIAMOND_MD5[:-1] + "g", DIAMOND_MD5[:-1] + " ", "\u0661" * 32]
+    )
+    def test_digest_must_be_lowercase_hex(self, digest):
+        with pytest.raises(MalformedPlaintextError) as exc:
+            ProcessSignature(HashAlgorithm.MD5, (digest,), "x")
+        assert str(exc.value) == f"bad MD5 digest {digest!r}"
+
+    @pytest.mark.parametrize("algorithm", list(HashAlgorithm))
+    def test_digest_hex_len_is_the_hexdigest_length(self, algorithm):
+        assert algorithm.digest_hex_len == len(hash_canonical("", algorithm))
+
 
 class TestCiphers:
     def test_shift_byte_modular_addition(self):
         assert _apply_cipher(Cipher.SHIFT_BYTE, 3, bytes([0x61, 0xFF]), True) == bytes(
             [0x64, 0x02]
         )
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_shift_byte_is_the_per_byte_formula(self, forward):
+        data = bytes(range(256))
+        for key in range(1, 256):
+            delta = key if forward else -key
+            expected = bytes((b + delta) % 256 for b in data)
+            assert _apply_cipher(Cipher.SHIFT_BYTE, key, data, forward) == expected, key
+
+    def test_wire_tags(self):
+        assert [c.wire_tag for c in Cipher] == [0, 1, 2]
+        assert [Cipher.from_wire_tag(t) for t in (0, 1, 2)] == list(Cipher)
+        with pytest.raises(MalformedPlaintextError) as exc:
+            Cipher.from_wire_tag(3)
+        assert str(exc.value) == "unknown cipher tag 3"
 
     def test_null_payload_is_plaintext(self, diamond):
         sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "d")
