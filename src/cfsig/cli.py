@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from pathlib import Path
@@ -119,9 +120,12 @@ def _read_reference_times(path: Path) -> dict[str, float]:
         if label in refs:
             raise CfsigError(f"{path}:{lineno}: repeated label {label!r}")
         try:
-            refs[label] = float(value)
+            seconds = float(value)
         except ValueError:
-            raise CfsigError(f"{path}:{lineno}: bad reference time {value.strip()!r}") from None
+            seconds = math.nan
+        if not 0 < seconds < math.inf:  # also rejects nan, which fails every comparison
+            raise CfsigError(f"{path}:{lineno}: bad reference time {value.strip()!r}")
+        refs[label] = seconds
     return refs
 
 

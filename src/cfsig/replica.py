@@ -24,6 +24,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 # parse_dot, parse_graphml and serialize_dot are unused here, but perfbench's
 # traced run patches them on this module.
@@ -92,8 +93,8 @@ def envelope_frame(sender: NodeId, enc: EncryptedSignature) -> Frame:
 
 
 def vote_frame(sender: NodeId, votes: list[VoteMessage]) -> Frame:
-    """All of *sender*'s votes in one frame: a (subject, verdict) pair each, in the given order."""
-    payload = b"".join(_VOTE.pack(v.subject, v.verdict is Outcome.MISMATCH) for v in votes)
+    """All of *sender*'s votes in one frame: a (subject, mismatch) pair each, in the given order."""
+    payload = b"".join(_VOTE.pack(v.subject, v.mismatch) for v in votes)
     return Frame(MSG_VOTE, sender, payload)
 
 
@@ -107,16 +108,19 @@ def envelope_from_frame(frame: Frame) -> EncryptedSignature:
     return EncryptedSignature(cipher, frame.payload[1], frame.payload[2:])
 
 
-def votes_from_frame(frame: Frame) -> list[VoteMessage]:
+def votes_from_frame(frame: Frame, n: int) -> list[VoteMessage]:
+    """The votes in a vote frame from one of *n* nodes; TransportError for any vote no peer can cast."""
     if frame.msg_type != MSG_VOTE or len(frame.payload) % _VOTE.size:
         raise TransportError("not a vote frame")
-    try:
-        return [
-            VoteMessage(frame.sender, subject, Outcome.MISMATCH if verdict else Outcome.MATCH)
-            for subject, verdict in _VOTE.iter_unpack(frame.payload)
-        ]
-    except ValueError as exc:  # a vote about the sender itself
-        raise TransportError(str(exc)) from exc
+    pairs = list(_VOTE.iter_unpack(frame.payload))
+    if any(subject == frame.sender for subject, _ in pairs):
+        raise TransportError("a node never votes about its own signature")
+    if any(subject >= n for subject, _ in pairs):
+        raise TransportError("vote subject out of range")
+    for _, verdict in pairs:
+        if verdict > 1:
+            raise TransportError(f"bad verdict byte {verdict}")
+    return [VoteMessage(frame.sender, subject, verdict == 1) for subject, verdict in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +128,12 @@ def votes_from_frame(frame: Frame) -> list[VoteMessage]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VoteMessage:
+class VoteMessage(NamedTuple):
+    """*sender*'s vote about *subject*'s signature; as tuples, Match (False) sorts before Mismatch."""
+
     sender: NodeId
     subject: NodeId
-    verdict: Outcome
-
-    def __post_init__(self) -> None:
-        if self.sender == self.subject:
-            raise ValueError("a node never votes about its own signature")
+    mismatch: bool
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def conclude_round(n_live: int, votes: list[VoteMessage]) -> Verdict:
     """
     mismatch_voters: dict[NodeId, set[NodeId]] = {}
     for v in votes:
-        if v.verdict is Outcome.MISMATCH:
+        if v.mismatch:
             mismatch_voters.setdefault(v.subject, set()).add(v.sender)
     if not mismatch_voters:
         return Verdict("Clean")
@@ -222,9 +223,9 @@ class ReplicaNode:
             remote = decrypt(payload, self.config.key)
         except (InvalidKeyError, MalformedPlaintextError) as exc:  # e.g. a peer on another cipher
             self.decrypt_failures.append((sender, str(exc)))
-            return VoteMessage(self.id, sender, Outcome.MISMATCH)
+            return VoteMessage(self.id, sender, True)
         verdict = match_signatures(self.signature, remote)
-        return VoteMessage(self.id, sender, verdict.outcome)
+        return VoteMessage(self.id, sender, verdict.outcome is Outcome.MISMATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -511,30 +512,20 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
                 transcript.append(f"drop phase={phase} node={node.id} reason={exc}")
         return parsed
 
-    def subject_votes(frame: Frame) -> list[VoteMessage]:
-        votes = votes_from_frame(frame)
-        if any(not 0 <= v.subject < n for v in votes):
-            raise TransportError("vote subject out of range")
-        return votes
-
     def vote(node: ReplicaNode):
         envelopes = receive(node, "signature", lambda f: (f.sender, envelope_from_frame(f)))
         votes = [node.handle_envelope(sender, enc) for sender, enc in envelopes]
         node.votes.extend(votes)
-        detail = ",".join(f"{v.subject}:{v.verdict.value}" for v in votes)
+        detail = ",".join(f"{v.subject}:{'Mismatch' if v.mismatch else 'Match'}" for v in votes)
         return f"votes={detail} ", vote_frame(node.id, votes).encode()
 
     rounds: dict[NodeId, ConsensusRound] = {}
 
     def tally(node: ReplicaNode):
-        for votes in receive(node, "vote", subject_votes):
+        for votes in receive(node, "vote", lambda f: votes_from_frame(f, n)):
             node.votes.extend(votes)
-        # One vote per (sender, subject, verdict), the first seen, in key order (Match
-        # before Mismatch). Keys of plain ints and bools hash in C, unlike VoteMessages.
-        first = {(v.sender, v.subject, v.verdict is Outcome.MISMATCH): v for v in reversed(node.votes)}
-        votes = [first[key] for key in sorted(first)]
-        verdict = conclude_round(len(live), votes)
-        rounds[node.id] = ConsensusRound(tuple(votes), verdict)
+        votes = sorted(set(node.votes))
+        rounds[node.id] = ConsensusRound(tuple(votes), conclude_round(len(live), votes))
 
     try:
         run_phase("profile", profile)

@@ -249,10 +249,11 @@ class TestBench:
 
     def test_non_numeric_reference_exit_1(self, capsys, tmp_path, fixtures_dir):
         refs = tmp_path / "refs.txt"
-        refs.write_text("# seconds\nwordmean=6.988\nwordcount=abc\n")
-        code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--reference", str(refs))
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: {refs}:3: ")
+        for value in ("abc", "0", "-2", "nan", "inf"):  # a time must be a finite number above 0
+            refs.write_text(f"# seconds\nwordmean=6.988\nwordcount={value}\n")
+            code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--reference", str(refs))
+            assert code == 1 and out == "", value
+            assert err == f"error: {refs}:3: bad reference time {value!r}\n"
 
     def test_repeated_reference_label_exit_1(self, capsys, tmp_path, fixtures_dir):
         refs = tmp_path / "refs.txt"

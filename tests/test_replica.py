@@ -15,7 +15,6 @@ from cfsig import (
     ClusterConfig,
     HashAlgorithm,
     Mutation,
-    Outcome,
     ReplicaNode,
     Scenario,
     build_signature,
@@ -29,12 +28,15 @@ from cfsig import replica
 from cfsig.errors import ScenarioError, TransportError
 from cfsig.replica import (
     FRAME_MAGIC,
+    MAX_NODES,
     MSG_ENVELOPE,
     MSG_VOTE,
     Frame,
     InProcessTransport,
     SocketTransport,
+    Verdict,
     VoteMessage,
+    conclude_round,
     decode_frame,
     envelope_frame,
     envelope_from_frame,
@@ -69,24 +71,25 @@ class TestFraming:
         assert envelope_from_frame(decoded) == enc
 
     def test_vote_frame_layout(self):
-        votes = [VoteMessage(1, 0, Outcome.MATCH), VoteMessage(1, 2, Outcome.MISMATCH)]
+        votes = [VoteMessage(1, 0, False), VoteMessage(1, 2, True)]
         raw = vote_frame(1, votes).encode()
         assert raw[4] == MSG_VOTE
         assert int.from_bytes(raw[5:7], "big") == 1
         assert int.from_bytes(raw[7:11], "big") == 6
         assert raw[11:] == b"\x00\x00\x00" + b"\x00\x02\x01"  # (subject, 1 for Mismatch) pairs
-        assert votes_from_frame(decode_frame(raw)) == votes
+        assert votes_from_frame(decode_frame(raw), 3) == votes
 
-    @given(st.integers(0, 0xFFFF), st.dictionaries(st.integers(0, 0xFFFF), st.sampled_from(Outcome)))
+    @given(st.integers(0, 0xFFFF), st.dictionaries(st.integers(0, 0xFFFF), st.booleans()))
     @settings(max_examples=200, deadline=None)
     def test_vote_frame_round_trip(self, sender, verdicts):
-        votes = [VoteMessage(sender, s, v) for s, v in sorted(verdicts.items()) if s != sender]
-        assert votes_from_frame(decode_frame(vote_frame(sender, votes).encode())) == votes
+        votes = [VoteMessage(sender, s, m) for s, m in sorted(verdicts.items()) if s != sender]
+        assert votes_from_frame(decode_frame(vote_frame(sender, votes).encode()), MAX_NODES) == votes
 
-    @given(st.integers(0, 0xFFFF), st.binary(max_size=40))
+    @given(st.integers(0, 0xFFFF), st.binary(max_size=40), st.integers(2, MAX_NODES))
     @settings(max_examples=300, deadline=None)
-    def test_random_payload_raises_only_transport_error(self, sender, payload):
-        for msg_type, parse in ((MSG_VOTE, votes_from_frame), (MSG_ENVELOPE, envelope_from_frame)):
+    def test_random_payload_raises_only_transport_error(self, sender, payload, n):
+        parse_votes = lambda frame: votes_from_frame(frame, n)
+        for msg_type, parse in ((MSG_VOTE, parse_votes), (MSG_ENVELOPE, envelope_from_frame)):
             for raw in (payload, Frame(msg_type, sender, payload).encode()):
                 try:
                     parse(decode_frame(raw))
@@ -107,8 +110,22 @@ class TestFraming:
             ClusterConfig(n=65537)
 
     def test_vote_self_reference_prohibited(self):
-        with pytest.raises(ValueError):
-            VoteMessage(2, 2, Outcome.MATCH)
+        with pytest.raises(TransportError, match="never votes about its own signature"):
+            votes_from_frame(Frame(MSG_VOTE, 2, b"\x00\x00\x00" + b"\x00\x02\x00"), 3)
+
+    @pytest.mark.parametrize(
+        "frame,reason",
+        [
+            (Frame(MSG_VOTE, 0, b"\x00\x01\xff"), "bad verdict byte 255"),
+            # One frame, several faults: self-votes, then subject range, then verdict bytes.
+            (Frame(MSG_VOTE, 0, b"\x00\x03\x02" + b"\x00\x00\x00"), "never votes about its own"),
+            (Frame(MSG_VOTE, 0, b"\x00\x01\x02" + b"\x00\x03\x00"), "vote subject out of range"),
+        ],
+        ids=["verdict-255", "self-first", "range-first"],
+    )
+    def test_votes_from_frame_rejects(self, frame, reason):
+        with pytest.raises(TransportError, match=reason):
+            votes_from_frame(frame, 3)
 
 
 class TestNode:
@@ -124,8 +141,51 @@ class TestNode:
         enc = encrypt(node.signature, config.cipher, config.key)
         bad = type(enc)(enc.cipher, enc.key_id, b"\x00" + enc.payload[1:])
         vote = node.handle_envelope(1, bad)
-        assert vote.verdict is Outcome.MISMATCH
+        assert vote == (0, 1, True)
         assert node.decrypt_failures
+
+
+def mismatches(*pairs: tuple[int, int]) -> list[VoteMessage]:
+    """Mismatch votes, one per (sender, subject) pair."""
+    return [VoteMessage(sender, subject, True) for sender, subject in pairs]
+
+
+class TestConcludeRound:
+    @pytest.mark.parametrize(
+        "n_live,votes,expected",
+        [
+            (4, mismatches((0, 3), (1, 3)), Verdict("Inconclusive")),  # 2 of 4 is no majority
+            (4, mismatches((0, 3), (1, 3), (2, 3)), Verdict("IntrusionAt", frozenset({3}))),
+            (3, mismatches((0, 2), (1, 2)), Verdict("IntrusionAt", frozenset({2}))),
+            (3, mismatches((0, 2), (0, 2)), Verdict("Inconclusive")),  # one sender counts once
+            (5, mismatches((0, 1), (2, 1)) + [VoteMessage(3, 1, False)], Verdict("Inconclusive")),
+            (5, mismatches((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)),
+             Verdict("IntrusionAt", frozenset({3, 4}))),
+            (3, [VoteMessage(s, j, False) for s in range(3) for j in range(3) if s != j], Verdict("Clean")),
+            (3, [], Verdict("Clean")),
+        ],
+        ids=["2-of-4", "3-of-4", "2-of-3", "repeated-sender", "no-majority", "two-flagged",
+             "all-match", "no-votes"],
+    )
+    def test_strict_majority(self, n_live, votes, expected):
+        assert conclude_round(n_live, votes) == expected
+
+    @given(
+        st.integers(1, 7),
+        st.lists(st.builds(VoteMessage, st.integers(0, 6), st.integers(0, 6), st.booleans()), max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_count(self, n_live, votes):
+        pairs = {(v.sender, v.subject) for v in votes if v.mismatch}
+        flagged = frozenset(
+            subject for _, subject in pairs
+            if 2 * sum(1 for _, j in pairs if j == subject) > n_live
+        )
+        if not pairs:
+            expected = Verdict("Clean")
+        else:
+            expected = Verdict("IntrusionAt", flagged) if flagged else Verdict("Inconclusive")
+        assert conclude_round(n_live, votes) == expected
 
 
 class TestScenarios:
@@ -164,7 +224,7 @@ class TestScenarios:
     def test_clean_round(self, diamond):
         result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
         assert result.consensus.verdict.kind == "Clean"
-        assert all(v.verdict is Outcome.MATCH for v in result.consensus.votes)
+        assert not any(v.mismatch for v in result.consensus.votes)
 
     def test_single_tamper_isolated(self, diamond):
         tamper = (1, Mutation.remove_edge("B2", "B4"))
@@ -173,9 +233,9 @@ class TestScenarios:
         )
         assert result.consensus.verdict.kind == "IntrusionAt"
         assert result.consensus.verdict.nodes == {1}
-        votes = {(v.sender, v.subject): v.verdict for v in result.consensus.votes}
-        assert votes[(0, 1)] is Outcome.MISMATCH and votes[(2, 1)] is Outcome.MISMATCH
-        assert votes[(0, 2)] is Outcome.MATCH and votes[(2, 0)] is Outcome.MATCH
+        votes = {(v.sender, v.subject): v.mismatch for v in result.consensus.votes}
+        assert votes[(0, 1)] and votes[(2, 1)]
+        assert not votes[(0, 2)] and not votes[(2, 0)]
 
     def test_n2_conflict_inconclusive(self, diamond):
         tamper = (1, Mutation.remove_edge("B2", "B4"))
@@ -342,12 +402,13 @@ class TestDroppedFrames:
             (MSG_VOTE, reframed(MSG_VOTE, b"\x00"), "vote", "not a vote frame"),
             (MSG_VOTE, reframed(MSG_VOTE, b"\x00\x00\x01", sender=0), "vote", "never votes about its own"),
             (MSG_VOTE, reframed(MSG_VOTE, b"\x00\x07\x01"), "vote", "vote subject out of range"),
+            (MSG_VOTE, reframed(MSG_VOTE, b"\x00\x02\x02"), "vote", "bad verdict byte 2"),
             (MSG_ENVELOPE, reframed(MSG_ENVELOPE, b"\x01\x07", sender=3), "signature", "bad sender 3"),
             (MSG_VOTE, lambda raw, r: Frame(MSG_VOTE, r, b"").encode(), "vote", "bad sender"),
         ],
         ids=["sig-short", "sig-truncated", "vote-truncated", "vote-short", "cipher-tag", "magic",
-             "sig-type", "vote-type", "vote-length", "self-vote", "vote-subject", "sender-range",
-             "own-sender"],
+             "sig-type", "vote-type", "vote-length", "self-vote", "vote-subject", "verdict-byte",
+             "sender-range", "own-sender"],
     )
     def test_bad_frame_is_dropped(self, monkeypatch, diamond, msg_type, mangle, phase, reason):
         monkeypatch.setattr(InProcessTransport, "send", mangled(msg_type, mangle))
@@ -370,11 +431,21 @@ class TestDroppedFrames:
         result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
         assert receivers == [1]
         votes = result.rounds_per_node[1].votes
-        assert [(v.sender, v.subject, v.verdict) for v in votes] == [
-            (0, 2, Outcome.MATCH), (0, 2, Outcome.MISMATCH),
-            (1, 0, Outcome.MATCH), (1, 2, Outcome.MATCH),
-            (2, 0, Outcome.MATCH), (2, 1, Outcome.MATCH),
-        ]
+        assert votes == (
+            (0, 2, False), (0, 2, True),
+            (1, 0, False), (1, 2, False),
+            (2, 0, False), (2, 1, False),
+        )
+
+    def test_repeated_vote_is_tallied_once(self, monkeypatch, diamond):
+        # Node 0's frame to node 1 repeats its one vote about node 2.
+        monkeypatch.setattr(
+            InProcessTransport, "send", mangled(MSG_VOTE, reframed(MSG_VOTE, b"\x00\x02\x01" * 3, sender=0))
+        )
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
+        votes = result.rounds_per_node[1].votes
+        assert votes.count((0, 2, True)) == 1 and len(votes) == len(set(votes)) == 5
+        assert result.rounds_per_node[1].verdict.kind == "Inconclusive"
 
     def test_send_error_is_logged(self, monkeypatch, diamond):
         original = InProcessTransport.send
@@ -399,7 +470,7 @@ class TestDroppedFrames:
         config = ClusterConfig(n=3, cipher=Cipher.XOR_STREAM, key=300)
         result = run_cluster_scenario(config, Scenario("diamond", diamond))
         assert not any(l.startswith("drop ") for l in result.transcript)
-        assert sum(v.verdict is Outcome.MISMATCH for v in result.consensus.votes) == 1
+        assert sum(v.mismatch for v in result.consensus.votes) == 1
         assert result.consensus.verdict.kind == "Inconclusive"
 
 
