@@ -324,9 +324,9 @@ def parse_dot(text: str) -> ControlFlowGraph:
     return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
 
 
-def serialize_dot(g: ControlFlowGraph, name: str = "g") -> str:
+def serialize_dot(g: ControlFlowGraph) -> str:
     """Deterministic DOT serialization; the entry node is always marked."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph g {"]
     for node in sorted(g.nodes):
         attr = " [entry=true]" if node == g.entry else ""
         lines.append(f"  {node}{attr};")

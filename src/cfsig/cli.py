@@ -17,13 +17,12 @@ from pathlib import Path
 
 from . import cfg as cfg_mod
 from .arborescence import peel_edge_disjoint
-from .errors import CfsigError, InvalidKeyError, ScenarioError
+from .errors import CfsigError, ScenarioError
 from .matcher import Outcome, match_signatures
 from .replica import ClusterConfig, Scenario, parse_scenario_file, run_cluster_scenario
 from .signature import (
     Cipher,
     HashAlgorithm,
-    _check_key,
     build_signature,
     decrypt,
     encrypt,
@@ -65,22 +64,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if result.consensus.verdict.kind == "Clean" else EXIT_MISMATCH
 
 
-def _bench_fixture(path: Path, algorithm: HashAlgorithm, cipher: Cipher, key: int) -> dict:
+def _bench_fixture(path: Path, config: ClusterConfig) -> dict:
     t = time.perf_counter()
     graph = cfg_mod.load_graph(path)
     arbs = peel_edge_disjoint(graph)
     cfg_to_msa_s = time.perf_counter() - t
 
     t = time.perf_counter()
-    sig = build_signature(arbs, algorithm, path.stem)
+    sig = build_signature(arbs, config.algorithm, path.stem)
     hashing_s = time.perf_counter() - t
 
     t = time.perf_counter()
-    remote = decrypt(encrypt(sig, cipher, key), key)
+    remote = decrypt(encrypt(sig, config.cipher, config.key), config.key)
     match_signatures(sig, remote)
     matching_s = time.perf_counter() - t
 
-    config = ClusterConfig(n=3, algorithm=algorithm, cipher=cipher, key=key)
     result = run_cluster_scenario(config, Scenario(path.stem, graph))
     consensus_s = result.phase_seconds["vote"] + result.phase_seconds["tally"]
 
@@ -107,9 +105,11 @@ CSV_COLUMNS = [
     "reference_exec_s",
     "overhead_percent",
 ]
+# Every other column is seconds, printed as .4f.
+CELL_FORMATS = {"label": "", "overhead_percent": ".2f"}
 
 
-def _read_reference_times(path: Path) -> dict[str, float]:
+def _read_reference_times(path: Path, labels: set[str]) -> dict[str, float]:
     refs: dict[str, float] = {}
     for lineno, raw in enumerate(cfg_mod.read_utf8(path).splitlines(), 1):
         line = raw.strip()
@@ -119,6 +119,8 @@ def _read_reference_times(path: Path) -> dict[str, float]:
         label = label.strip()
         if label in refs:
             raise CfsigError(f"{path}:{lineno}: repeated label {label!r}")
+        if label not in labels:
+            raise CfsigError(f"{path}:{lineno}: unknown label {label!r}")
         try:
             seconds = float(value)
         except ValueError:
@@ -130,10 +132,11 @@ def _read_reference_times(path: Path) -> dict[str, float]:
 
 
 def cmd_bench(args) -> int:
-    cipher = Cipher(args.cipher)
     try:
-        _check_key(cipher, args.key)
-    except InvalidKeyError as exc:
+        config = ClusterConfig(
+            n=3, algorithm=HashAlgorithm(args.alg.upper()), cipher=Cipher(args.cipher), key=args.key
+        )
+    except ScenarioError as exc:  # n=3 is valid, so only the key can be at fault
         raise CfsigError(f"--key: {exc}") from exc
     corpus = Path(args.corpus)
     fixtures = sorted(
@@ -142,13 +145,12 @@ def cmd_bench(args) -> int:
     if not fixtures:
         print(f"error: no .dot/.graphml fixtures in {corpus}", file=sys.stderr)
         return EXIT_EMPTY_CORPUS
-    refs = _read_reference_times(Path(args.reference)) if args.reference else {}
+    refs = _read_reference_times(Path(args.reference), {p.stem for p in fixtures}) if args.reference else {}
 
-    algorithm = HashAlgorithm(args.alg.upper())
     rows = []
     for path in fixtures:
         try:
-            row = _bench_fixture(path, algorithm, cipher, args.key)
+            row = _bench_fixture(path, config)
         except (CfsigError, OSError) as exc:  # a ScenarioError here is still bad input
             raise CfsigError(f"{path.name}: {exc}") from exc
         ref = refs.get(row["label"])
@@ -157,28 +159,18 @@ def cmd_bench(args) -> int:
             row["overhead_percent"] = row["proposed_total_s"] / ref * 100.0
         rows.append(row)
 
-    numeric = [c for c in CSV_COLUMNS if c != "label"]
-    avg = {"label": "average"}
-    for col in numeric:
-        values = [r[col] for r in rows if col in r]
-        if len(values) == len(rows):
-            avg[col] = sum(values) / len(values)
+    avg = {c: sum(r[c] for r in rows) / len(rows) for c in CSV_COLUMNS[1:] if all(c in r for r in rows)}
+    avg["label"] = "average"
 
-    def fmt(row: dict, col: str) -> str:
-        if col not in row:
-            return ""
-        if col == "label":
-            return row[col]
-        if col == "overhead_percent":
-            return f"{row[col]:.2f}"
-        return f"{row[col]:.4f}"
-
-    widths = {c: max(len(c), *(len(fmt(r, c)) for r in rows + [avg])) for c in CSV_COLUMNS}
-    header = "  ".join(c.ljust(widths[c]) for c in CSV_COLUMNS)
-    print(header)
-    print("-" * len(header))
-    for row in rows + [avg]:
-        print("  ".join(fmt(row, c).ljust(widths[c]) for c in CSV_COLUMNS))
+    grid = [CSV_COLUMNS] + [
+        [format(row[c], CELL_FORMATS.get(c, ".4f")) if c in row else "" for c in CSV_COLUMNS]
+        for row in rows + [avg]
+    ]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in grid]
+    print(lines[0])
+    print("-" * len(lines[0]))
+    print(*lines[1:], sep="\n")
     print(
         "note: consensus_s covers vote exchange and tally of one n=3 in-process round;"
         " overhead_percent = proposed_total_s / reference_exec_s * 100"
@@ -186,10 +178,7 @@ def cmd_bench(args) -> int:
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for row in rows + [avg]:
-                writer.writerow({c: fmt(row, c) for c in CSV_COLUMNS})
+            csv.writer(fh).writerows(grid)
     return EXIT_OK
 
 
@@ -201,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Each option lives only on the subcommands that read it.
     alg = argparse.ArgumentParser(add_help=False)
     alg.add_argument("--alg", default="MD5", choices=["MD5", "SHA1", "SHA256", "md5", "sha1", "sha256"])
-    crypto = argparse.ArgumentParser(add_help=False)
-    crypto.add_argument("--key", type=int, default=7)
-    crypto.add_argument("--cipher", default="ShiftByte", choices=[c.value for c in Cipher])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sign", parents=[alg], help="derive a signature file from a CFG export")
@@ -222,8 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript")
     p.set_defaults(func=cmd_simulate, error_exit=EXIT_BAD_INPUT)
 
-    p = sub.add_parser("bench", parents=[alg, crypto], help="per-phase timing report over a fixture corpus")
+    p = sub.add_parser("bench", parents=[alg], help="per-phase timing report over a fixture corpus")
     p.add_argument("corpus")
+    p.add_argument("--key", type=int, default=7)
+    p.add_argument("--cipher", default="ShiftByte", choices=[c.value for c in Cipher])
     p.add_argument("--reference", help="file of label=<exec seconds> lines")
     p.add_argument("--csv", help="write machine-readable report here")
     p.set_defaults(func=cmd_bench, error_exit=EXIT_BAD_INPUT)

@@ -653,6 +653,18 @@ class TestValidate:
         assert [str(v) for v in report.violations] == ["UnreachableNode(B9)"]
         assert validate_cfg(prune_unreachable(g)).ok
 
+    @pytest.mark.parametrize(
+        "nodes,edges,entry,message",
+        [
+            ({"B1"}, set(), "B2", "entry 'B2' is not a declared node"),
+            ({"B1"}, {("B1", "B2")}, "B1", "edge 'B1' -> 'B2' has undeclared endpoint"),
+        ],
+    )
+    def test_undeclared_names_rejected(self, nodes, edges, entry, message):
+        with pytest.raises(GraphSyntaxError) as exc:
+            ControlFlowGraph(nodes, edges, entry)
+        assert str(exc.value) == message
+
     def test_self_loop_violation(self, diamond):
         g = ControlFlowGraph(diamond.nodes, diamond.edges | {("B4", "B4")}, "B1")
         assert any(str(v) == "SelfLoop(B4)" for v in validate_cfg(g).violations)
@@ -756,6 +768,7 @@ class TestMutate:
             ("RedirectEdge:B1>B2>B3", "edge B1>B3 already present"),
             ("SwapNodeIds:B1,B9", "swap operands must exist: B1,B9"),
             ("SwapNodeIds:B2,B2", "swap operands must differ: B2,B2"),
+            ("RemoveNode:B9", "node B9 not present"),
         ],
     )
     def test_operand_errors(self, diamond, spec, message):

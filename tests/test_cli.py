@@ -247,6 +247,52 @@ class TestBench:
                 )
         assert rows[0]["reference_exec_s"] == ""  # labels sorted; aggregate* first
 
+    # Timings exact in binary, so every formatted cell is free of rounding ties.
+    LAYOUT_ROWS = {
+        "alpha": {
+            "label": "alpha", "profiling_s": 0.75, "cfg_to_msa_s": 0.5, "hashing_s": 0.25,
+            "matching_s": 0.125, "consensus_s": 0.0625, "proposed_total_s": 0.9375,
+        },
+        "beta": {
+            "label": "beta", "profiling_s": 3.0, "cfg_to_msa_s": 123456789.0, "hashing_s": 0.5,
+            "matching_s": 0.25, "consensus_s": 0.3125, "proposed_total_s": 3.5625,
+        },
+    }
+
+    def test_report_layout(self, capsys, monkeypatch, tmp_path, fixtures_dir):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for stem in self.LAYOUT_ROWS:
+            (corpus / f"{stem}.dot").write_bytes((fixtures_dir / "diamond.dot").read_bytes())
+        refs = tmp_path / "refs.txt"
+        refs.write_text("beta=1.75\n")
+        csv_path = tmp_path / "report.csv"
+        monkeypatch.setattr(cli, "_bench_fixture", lambda path, *rest: dict(self.LAYOUT_ROWS[path.stem]))
+        code, out, err = run_cli(
+            capsys, "bench", str(corpus), "--reference", str(refs), "--csv", str(csv_path)
+        )
+        assert code == 0 and err == ""
+        assert out == (
+            "label    profiling_s  cfg_to_msa_s    hashing_s  matching_s  consensus_s"
+            "  proposed_total_s  reference_exec_s  overhead_percent\n"
+            + "-" * 126 + "\n"
+            "alpha    0.7500       0.5000          0.2500     0.1250      0.0625     "
+            "  0.9375                                              \n"
+            "beta     3.0000       123456789.0000  0.5000     0.2500      0.3125     "
+            "  3.5625            1.7500            203.57          \n"
+            "average  1.8750       61728394.7500   0.3750     0.1875      0.1875     "
+            "  2.2500                                              \n"
+            "note: consensus_s covers vote exchange and tally of one n=3 in-process round;"
+            " overhead_percent = proposed_total_s / reference_exec_s * 100\n"
+        )
+        assert csv_path.read_bytes() == (
+            b"label,profiling_s,cfg_to_msa_s,hashing_s,matching_s,consensus_s,"
+            b"proposed_total_s,reference_exec_s,overhead_percent\r\n"
+            b"alpha,0.7500,0.5000,0.2500,0.1250,0.0625,0.9375,,\r\n"
+            b"beta,3.0000,123456789.0000,0.5000,0.2500,0.3125,3.5625,1.7500,203.57\r\n"
+            b"average,1.8750,61728394.7500,0.3750,0.1875,0.1875,2.2500,,\r\n"
+        )
+
     def test_non_numeric_reference_exit_1(self, capsys, tmp_path, fixtures_dir):
         refs = tmp_path / "refs.txt"
         for value in ("abc", "0", "-2", "nan", "inf"):  # a time must be a finite number above 0
@@ -261,6 +307,14 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--reference", str(refs))
         assert code == 1 and out == ""
         assert err == f"error: {refs}:3: repeated label 'wordmean'\n"
+
+    def test_unknown_reference_label_exit_1(self, capsys, monkeypatch, tmp_path, fixtures_dir):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("wordcnt=5\n")
+        monkeypatch.setattr(cli, "_bench_fixture", raising(AssertionError("a fixture was timed")))
+        code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), "--reference", str(refs))
+        assert code == 1 and out == ""
+        assert err == f"error: {refs}:1: unknown label 'wordcnt'\n"
 
     def test_invalid_fixture_exit_1(self, capsys, tmp_path):
         (tmp_path / "unreachable.dot").write_text(UNREACHABLE_DOT)

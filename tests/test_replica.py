@@ -355,6 +355,20 @@ class TestSocketTransport:
             SocketTransport(3)
         assert open_fds() == fds
 
+    def test_wait_for_returns_at_its_deadline(self):
+        transport = SocketTransport(2)
+        try:
+            start = time.monotonic()
+            transport.wait_for({1: 1}, 0.05)  # nothing was sent
+            assert 0.05 <= time.monotonic() - start < 1.0
+            assert transport.drain(1) == []
+        finally:
+            transport.close()
+
+    def test_unknown_transport_rejected(self):
+        with pytest.raises(ScenarioError, match="unknown transport 'udp'"):
+            ClusterConfig(n=3, transport="udp")
+
     def test_accept_queue_bound_is_checked_at_config(self):
         n = socket.SOMAXCONN + 2  # one node receives n-1 frames per phase
         ClusterConfig(n=n)  # the in-process transport queues nothing
@@ -405,10 +419,11 @@ class TestDroppedFrames:
             (MSG_VOTE, reframed(MSG_VOTE, b"\x00\x02\x02"), "vote", "bad verdict byte 2"),
             (MSG_ENVELOPE, reframed(MSG_ENVELOPE, b"\x01\x07", sender=3), "signature", "bad sender 3"),
             (MSG_VOTE, lambda raw, r: Frame(MSG_VOTE, r, b"").encode(), "vote", "bad sender"),
+            (MSG_ENVELOPE, lambda raw, r: raw[:4] + b"\x03" + raw[5:], "signature", "unknown message type 3"),
         ],
         ids=["sig-short", "sig-truncated", "vote-truncated", "vote-short", "cipher-tag", "magic",
              "sig-type", "vote-type", "vote-length", "self-vote", "vote-subject", "verdict-byte",
-             "sender-range", "own-sender"],
+             "sender-range", "own-sender", "unknown-type"],
     )
     def test_bad_frame_is_dropped(self, monkeypatch, diamond, msg_type, mangle, phase, reason):
         monkeypatch.setattr(InProcessTransport, "send", mangled(msg_type, mangle))
@@ -494,26 +509,29 @@ class TestScenarioFiles:
         config, scenario = parse_scenario_file(tmp_path / "s.scn")
         assert config.n == 3 and scenario.tamper[0] == 1 and scenario.dead == 2
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "fixture=diamond.dot\n",
-            "n=3\n",
-            "n=3\nfixture=missing.dot\n",
-            "n=3\nfixture=diamond.dot\ntamper=7:RemoveEdge:B2>B4\n",
-            "n=3\nfixture=diamond.dot\nbogus=1\n",
-            "n=1\nfixture=diamond.dot\n",
-            "n=3\nfixture=diamond.dot\ndead=x\n",
-            "n=3\nfixture=diamond.dot\ntamper=1:RemoveEdge:B4>B1\n",
-            "n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n",
-            "n=3\nfixture=unreachable.dot\n",
-            "n=3\nfixture=diamond.txt\n",
-            "n=3\nfixture=diamond.dot\nkey=0\n",
-            "n=3\nfixture=diamond.dot\nkey=300\n",
-            "n=3\nfixture=diamond.dot\ncipher=XorStream\nkey=-1\n",
-        ],
-    )
-    def test_rejects_bad_scenarios(self, tmp_path, fixtures_dir, text):
+    BAD_SCENARIOS = [
+        ("fixture=diamond.dot\n", "scenario missing required key 'n'"),
+        ("n=3\n", "scenario missing required key 'fixture'"),
+        ("n=3\nfixture=missing.dot\n", "cannot read fixture missing.dot: "),
+        # Only node ranges, which need the round's n, are left to the round to check.
+        ("n=3\nfixture=diamond.dot\ntamper=7:RemoveEdge:B2>B4\n", "tamper node 7 out of range for n=3"),
+        ("n=3\nfixture=diamond.dot\nbogus=1\n", "unknown scenario keys: ['bogus']"),
+        ("n=1\nfixture=diamond.dot\n", "replication factor must be in 2..65536, got 1"),
+        ("n=3\nfixture=diamond.dot\ndead=x\n", "bad scenario value: invalid literal for int() with base 10: 'x'"),
+        ("n=3\nfixture=diamond.dot\ntamper=1:RemoveEdge:B4>B1\n", "bad tamper spec: edge B4>B1 not present"),
+        ("n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n", "bad tamper spec: cannot remove the entry node"),
+        ("n=3\nfixture=unreachable.dot\n", "bad fixture unreachable.dot: invalid CFG: UnreachableNode(B3)"),
+        ("n=3\nfixture=diamond.txt\n", "bad fixture diamond.txt: unsupported input extension '.txt'"),
+        ("n=3\nfixture=diamond.dot\nkey=0\n", "ShiftByte key must be in 1..255, got 0"),
+        ("n=3\nfixture=diamond.dot\nkey=300\n", "ShiftByte key must be in 1..255, got 300"),
+        ("n=3\nfixture=diamond.dot\ncipher=XorStream\nkey=-1\n", "XorStream key must fit in 64 bits, got -1"),
+        ("n=x\nfixture=diamond.dot\n", "bad n value: invalid literal for int() with base 10: 'x'"),
+        ("n=3\nfixture=diamond.dot\ntamper=1\n", "tamper must look like <node>:<mutation-spec>"),
+    ]
+
+    # The ids name each case by its scenario text; an OS error's own wording is not pinned.
+    @pytest.mark.parametrize("text,message", BAD_SCENARIOS, ids=[text for text, _ in BAD_SCENARIOS])
+    def test_rejects_bad_scenarios(self, tmp_path, fixtures_dir, text, message):
         diamond = (fixtures_dir / "diamond.dot").read_text()
         (tmp_path / "diamond.dot").write_text(diamond)
         (tmp_path / "diamond.txt").write_text(diamond)
@@ -522,8 +540,7 @@ class TestScenarioFiles:
         scn.write_text(text)
         with pytest.raises(ScenarioError) as rejected:
             run_cluster_scenario(*parse_scenario_file(scn))
-        # Only node ranges, which need the round's n, are left to the round to check.
-        assert ("out of range for n=3" in str(rejected.value)) == ("tamper=7:" in text)
+        assert str(rejected.value).replace(f"{tmp_path}{os.sep}", "").startswith(message)
 
 
 class TestGoldenTranscripts:

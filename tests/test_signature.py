@@ -124,19 +124,27 @@ class TestBuildSignature:
         with pytest.raises(MalformedPlaintextError, match="must be one line of ASCII"):
             serialize_signature(sig)
 
+    MALFORMED_RECORDS = [
+        (b"", "truncated signature record"),
+        (b"cfsig/2\nalg:MD5\nlabel:x\ncount:0\n", "bad magic line 'cfsig/2'"),
+        (b"cfsig/1\nalg:CRC32\nlabel:x\ncount:0\n", "unknown algorithm 'CRC32'"),
+        (b"cfsig/1\nalg:MD5\nlabel:x\ncount:2\n" + b"a" * 32 + b"\n", "expected 2 digests, found 1"),
+        (b"cfsig/1\nalg:MD5\nlabel:x\ncount:1\nnot-a-digest-zzzz\n", "bad MD5 digest 'not-a-digest-zzzz'"),
+        (b"cfsig/1\nlabel:x\nalg:MD5\ncount:0\n", "missing alg/label header"),
+        (b"cfsig/1\nalg:MD5\nlabel:x\nsize:0\n", "missing count header"),
+        (b"cfsig/1\nalg:MD5\nlabel:x\ncount:two\n", "count is not an integer"),
+        (b"cfsig/1\nalg:MD5\nlabel:x\ncount:2\n" + b"b" * 32 + b"\n" + b"a" * 32 + b"\n",
+         "digests must be strictly ascending"),
+    ]
+
+    # The ids name each case by its record, not by its message.
     @pytest.mark.parametrize(
-        "data",
-        [
-            b"",
-            b"cfsig/2\nalg:MD5\nlabel:x\ncount:0\n",
-            b"cfsig/1\nalg:CRC32\nlabel:x\ncount:0\n",
-            b"cfsig/1\nalg:MD5\nlabel:x\ncount:2\n" + b"a" * 32 + b"\n",
-            b"cfsig/1\nalg:MD5\nlabel:x\ncount:1\nnot-a-digest-zzzz\n",
-        ],
+        "data,message", MALFORMED_RECORDS, ids=[data.decode() for data, _ in MALFORMED_RECORDS]
     )
-    def test_malformed_records(self, data):
-        with pytest.raises(MalformedPlaintextError):
+    def test_malformed_records(self, data, message):
+        with pytest.raises(MalformedPlaintextError) as exc:
             parse_signature(data)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "digest", [DIAMOND_MD5.upper(), DIAMOND_MD5[:-1] + "g", DIAMOND_MD5[:-1] + " ", "\u0661" * 32]
