@@ -8,16 +8,16 @@ against it.
 
 One phase engine runs the round's four phases (profile, signature, vote,
 tally): it runs a per-node action on each live node in id order (a dead node
-runs none), sends the one frame an action may return to every peer in (sender,
-receiver) order, logs each frame and waits for delivery before the next phase
-starts, so the transcript is a deterministic function of (config, scenario).
+runs none), then sends the one frame an action may return to every peer in
+(sender, receiver) order and logs each. A frame is in its receiver's inbox, or
+logged as an error, when ``send`` returns, so no phase waits for delivery and
+the transcript is a deterministic function of (config, scenario).
 A receiver drops, and logs, any frame it cannot decode or that names an
 impossible node id, and the round goes on without it.
 """
 
 from __future__ import annotations
 
-import selectors
 import socket
 import struct
 import time
@@ -54,8 +54,8 @@ _VOTE = struct.Struct("!HB")  # subject, verdict (1 for Mismatch)
 # Node ids travel as the 16-bit sender and subject fields above.
 MAX_NODES = 1 << 16
 
-# Bounds connecting to a peer and waiting for a phase's frames to be delivered,
-# so a silent peer cannot block a round.
+# Bounds each connect, accept and read of a socket frame's delivery, so a
+# silent peer cannot block a round.
 SOCKET_TIMEOUT_S = 2.0
 
 
@@ -170,9 +170,6 @@ class ClusterConfig:
             raise ScenarioError(str(exc)) from exc
         if self.transport not in ("inprocess", "socket"):
             raise ScenarioError(f"unknown transport {self.transport!r}")
-        if self.transport == "socket" and self.n - 1 > socket.SOMAXCONN:
-            # A phase's n-1 frames to one node wait in its accept queue together.
-            raise ScenarioError(f"socket transport needs n-1 <= {socket.SOMAXCONN}, got n={self.n}")
 
 
 def conclude_round(n_live: int, votes: list[VoteMessage]) -> Verdict:
@@ -234,7 +231,7 @@ class ReplicaNode:
 
 
 class Transport:
-    """Per-node inboxes of received frames; subclasses implement ``send`` and ``wait_for``."""
+    """Per-node inboxes of received frames; subclasses implement ``send``, which delivers."""
 
     def __init__(self, n: int):
         self._inboxes: dict[NodeId, list[bytes]] = {i: [] for i in range(n)}
@@ -254,82 +251,56 @@ class InProcessTransport(Transport):
     def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
         self._inboxes[receiver].append(frame_bytes)
 
-    def wait_for(self, counts: dict[NodeId, int], timeout: float) -> None:
-        pass  # send delivers at once
-
 
 class SocketTransport(Transport):
     """Loopback TCP transport; one connection per frame, which ends at EOF.
 
-    Nothing reads the listeners in the background: a sent frame waits in its
-    receiver's accept queue until the round calls ``wait_for``.
+    Nothing reads the listeners in the background: ``send`` accepts and reads
+    its own connection on the calling thread, so the program starts no threads.
     """
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._selector = selectors.DefaultSelector()
+        self._listeners: list[socket.socket] = []
+        self._unread: list[socket.socket] = []  # accepted connections no send of ours made
         self.ports: dict[NodeId, int] = {}
         try:
             for i in range(n):
                 srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                srv.setblocking(False)
-                self._selector.register(srv, selectors.EVENT_READ, (i, None))
+                self._listeners.append(srv)
+                srv.settimeout(SOCKET_TIMEOUT_S)
                 srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 srv.bind(("127.0.0.1", 0))
-                srv.listen(n - 1)  # the frames one node receives in one phase
+                srv.listen()
                 self.ports[i] = srv.getsockname()[1]
         except BaseException:
             self.close()  # the listeners opened so far
             raise
 
     def send(self, receiver: NodeId, frame_bytes: bytes) -> None:
+        """Connect, write and close, then accept that connection and read it into *receiver*'s inbox."""
+        srv = self._listeners[receiver]
         try:
-            with socket.create_connection(
-                ("127.0.0.1", self.ports[receiver]), timeout=SOCKET_TIMEOUT_S
-            ) as conn:
-                conn.sendall(frame_bytes)
+            with socket.create_connection(("127.0.0.1", self.ports[receiver]), timeout=SOCKET_TIMEOUT_S) as out:
+                out.sendall(frame_bytes)
+                sent_from = out.getsockname()
+            conn, peer = srv.accept()
+            while peer != sent_from:  # e.g. a silent peer queued first
+                self._unread.append(conn)
+                conn, peer = srv.accept()
+            with conn:
+                conn.settimeout(SOCKET_TIMEOUT_S)
+                chunks = []
+                while data := conn.recv(65536):
+                    chunks.append(data)
         except OSError as exc:
-            raise TransportError(f"peer {receiver} unreachable: {exc}") from exc
-
-    def wait_for(self, counts: dict[NodeId, int], timeout: float) -> None:
-        """Accept and read until each receiver's inbox holds its count, or *timeout* passes."""
-        deadline = time.monotonic() + timeout
-        while any(len(self._inboxes[r]) < c for r, c in counts.items()):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            for key, _ in self._selector.select(remaining):
-                node, chunks = key.data
-                if chunks is None:
-                    self._accept(key.fileobj, node)
-                else:
-                    self._read(key.fileobj, node, chunks)
-
-    def _accept(self, srv: socket.socket, node: NodeId) -> None:
-        try:
-            conn, _ = srv.accept()
-        except OSError:
-            return  # the peer gave up before it was accepted
-        conn.setblocking(False)
-        self._selector.register(conn, selectors.EVENT_READ, (node, []))
-
-    def _read(self, conn: socket.socket, node: NodeId, chunks: list[bytes]) -> None:
-        try:
-            if data := conn.recv(65536):
-                chunks.append(data)
-                return
-        except OSError:
-            chunks.clear()  # a broken peer loses its partial frame
-        self._selector.unregister(conn)
-        conn.close()
-        if chunks:
-            self._inboxes[node].append(b"".join(chunks))
+            raise TransportError(f"frame to peer {receiver} not delivered: {exc}") from exc
+        self._inboxes[receiver].append(b"".join(chunks))
 
     def close(self) -> None:
-        """Close every listener and every connection still open, e.g. a silent peer's."""
-        for key in list(self._selector.get_map().values()):
-            key.fileobj.close()
-        self._selector.close()
+        """Close every listener and every connection left unread, e.g. a silent peer's."""
+        for sock in self._listeners + self._unread:
+            sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +313,7 @@ class Scenario:
     """One round's input, valid by construction.
 
     Raises ScenarioError unless the label is one line of ASCII, the graph is
-    a valid CFG and the tamper applies.
+    a valid CFG, the tamper applies and the tampered node is not the dead one.
     """
 
     process_label: str
@@ -360,6 +331,8 @@ class Scenario:
         if not report.ok:
             raise ScenarioError("invalid CFG: " + ", ".join(str(v) for v in report.violations))
         if self.tamper is not None:
+            if self.tamper[0] == self.dead:  # a dead node signs nothing, so its tamper would go unseen
+                raise ScenarioError(f"tamper node {self.dead} is the dead node")
             try:
                 object.__setattr__(self, "tampered_graph", mutate(self.graph, self.tamper[1]))
             except CfsigError as exc:
@@ -470,14 +443,14 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
     transport = SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
 
     def run_phase(name: str, action: Callable[[ReplicaNode], tuple[str, bytes] | None]) -> None:
-        """Run *action* on each live node, then broadcast what each returned and wait.
+        """Run *action* on each live node, then broadcast what each returned.
 
         An action returns at most one (transcript detail, encoded frame) pair;
-        the frame goes to every peer. Delivery waits at most ``SOCKET_TIMEOUT_S``.
+        the frame goes to every peer. A frame that ``send`` cannot deliver, on
+        sockets within ``SOCKET_TIMEOUT_S``, is logged as an ``error=`` line.
         """
         t0 = time.perf_counter()
         outboxes = [(node.id, out) for node in live if (out := action(node)) is not None]
-        delivered: dict[NodeId, int] = {}
         for sender, (detail, frame_bytes) in outboxes:
             for receiver in range(n):
                 if receiver == sender:
@@ -488,9 +461,7 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
                 except TransportError as exc:
                     transcript.append(f"{line} error={exc}")
                     continue
-                delivered[receiver] = delivered.get(receiver, 0) + 1
                 transcript.append(f"{line} {detail}hex={frame_bytes.hex()}")
-        transport.wait_for(delivered, SOCKET_TIMEOUT_S)
         phase_seconds[name] = time.perf_counter() - t0
 
     def profile(node: ReplicaNode):

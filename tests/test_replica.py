@@ -221,6 +221,10 @@ class TestScenarios:
                 ClusterConfig(n=3, transport="socket"), Scenario("diamond", diamond, tamper, dead)
             )
 
+    def test_tamper_on_the_dead_node_raises(self, diamond):
+        with pytest.raises(ScenarioError, match="^tamper node 2 is the dead node$"):
+            Scenario("diamond", diamond, tamper=(2, Mutation.remove_edge("B2", "B4")), dead=2)
+
     def test_clean_round(self, diamond):
         result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
         assert result.consensus.verdict.kind == "Clean"
@@ -285,14 +289,14 @@ class TestScenarios:
 
 class TestSocketTransport:
     def test_frames_match_inprocess(self, diamond):
-        inproc = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
-        sock = run_cluster_scenario(
-            ClusterConfig(n=3, transport="socket"), Scenario("diamond", diamond)
-        )
-        def frames(result):
-            return sorted(l.split("hex=")[1] for l in result.transcript if "hex=" in l)
-        assert frames(inproc) == frames(sock)
-        assert sock.consensus.verdict.kind == "Clean"
+        remove = (1, Mutation.remove_edge("B2", "B4"))
+        for tamper, dead, verdict in [(None, None, "CLEAN"), (remove, None, "INTRUSION node=1"),
+                                      (None, 3, "CLEAN"), (remove, 3, "INTRUSION node=1")]:
+            scenario = Scenario("diamond", diamond, tamper, dead)
+            inproc = run_cluster_scenario(ClusterConfig(n=4), scenario)
+            sock = run_cluster_scenario(ClusterConfig(n=4, transport="socket"), scenario)
+            assert sock.transcript == inproc.transcript
+            assert sock.transcript[-1] == f"verdict {verdict}"
 
     def test_send_to_closed_peer_fails(self):
         transport = SocketTransport(2)
@@ -306,9 +310,8 @@ class TestSocketTransport:
         transport = SocketTransport(2)
         try:
             with socket.create_connection(("127.0.0.1", transport.ports[1])):
-                transport.send(1, b"CFS1")
                 start = time.monotonic()
-                transport.wait_for({1: 1}, 2.0)
+                transport.send(1, b"CFS1")
                 assert time.monotonic() - start < replica.SOCKET_TIMEOUT_S
                 assert transport.drain(1) == [b"CFS1"]
         finally:
@@ -318,8 +321,7 @@ class TestSocketTransport:
         transport = SocketTransport(2)
         with socket.create_connection(("127.0.0.1", transport.ports[1]), timeout=2.0) as silent:
             try:
-                transport.send(1, b"CFS1")
-                transport.wait_for({1: 1}, 2.0)  # accepts the silent connection, queued first
+                transport.send(1, b"CFS1")  # accepts the silent connection, queued first
             finally:
                 transport.close()
             assert silent.recv(1) == b""  # an orderly close, not a reset of an unaccepted connection
@@ -355,26 +357,27 @@ class TestSocketTransport:
             SocketTransport(3)
         assert open_fds() == fds
 
-    def test_wait_for_returns_at_its_deadline(self):
-        transport = SocketTransport(2)
-        try:
-            start = time.monotonic()
-            transport.wait_for({1: 1}, 0.05)  # nothing was sent
-            assert 0.05 <= time.monotonic() - start < 1.0
-            assert transport.drain(1) == []
-        finally:
-            transport.close()
+    def test_undelivered_frames_are_logged(self, monkeypatch, diamond):
+        def accept(sock):
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        start = time.monotonic()
+        result = run_cluster_scenario(ClusterConfig(n=3, transport="socket"), Scenario("diamond", diamond))
+        assert time.monotonic() - start < 1.0
+        errors = [l for l in result.transcript if " error=" in l]
+        assert errors == [
+            f"frame phase={phase} from={s} to={r} error=frame to peer {r} not delivered: timed out"
+            for phase in ("signature", "vote") for s in range(3) for r in range(3) if r != s
+        ]
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ScenarioError, match="unknown transport 'udp'"):
             ClusterConfig(n=3, transport="udp")
 
-    def test_accept_queue_bound_is_checked_at_config(self):
-        n = socket.SOMAXCONN + 2  # one node receives n-1 frames per phase
-        ClusterConfig(n=n)  # the in-process transport queues nothing
-        ClusterConfig(n=n - 1, transport="socket")  # constructing the config opens no transport
-        with pytest.raises(ScenarioError, match=f"n={n}"):
-            ClusterConfig(n=n, transport="socket")
+    def test_config_has_no_accept_queue_bound(self):
+        # Each send accepts its own connection, so a node's frames never queue up together.
+        ClusterConfig(n=socket.SOMAXCONN + 2, transport="socket")  # constructing the config opens no transport
 
 
 def mangled(msg_type: int, mangle):
@@ -527,6 +530,7 @@ class TestScenarioFiles:
         ("n=3\nfixture=diamond.dot\ncipher=XorStream\nkey=-1\n", "XorStream key must fit in 64 bits, got -1"),
         ("n=x\nfixture=diamond.dot\n", "bad n value: invalid literal for int() with base 10: 'x'"),
         ("n=3\nfixture=diamond.dot\ntamper=1\n", "tamper must look like <node>:<mutation-spec>"),
+        ("n=3\nfixture=diamond.dot\ntamper=2:RemoveEdge:B2>B4\ndead=2\n", "tamper node 2 is the dead node"),
     ]
 
     # The ids name each case by its scenario text; an OS error's own wording is not pinned.

@@ -206,6 +206,23 @@ class TestCiphers:
         )
         assert decrypt(encrypt(sig, Cipher.XOR_STREAM, key), key) == sig
 
+    @pytest.mark.parametrize(
+        "key,payload",
+        [
+            (0, "d134dcf3b1b44a4e0df70da6291414a40e786704d07acf197ee0edf023b4a853392157400b30cf5e"
+                "17889b4eee05399c463264666aab334a92fad3e4bc31286e5922b25da5cf2d"),
+            (9, "f80cef0d370e9f68786906860def4515e1e3fc22d2f158252e4e15545ef00e1e99c603e655559e45"
+                "35313067a86a1ac6a984ecec3721675e70b759ff9b153e762154fac86f89da"),
+            (2**64 - 1, "73d421c6fdf9aa712500fc50d120652bc2037b600d8624c21172e2ecfa4ddda449223b194b300fc9"
+                        "0b15df9145bd02689b176230376fa23d1f92afdce8bb3b216e5975e60ca7a4"),
+        ],
+        ids=["key=0", "key=9", "key=2**64-1"],
+    )
+    def test_xor_stream_wire_bytes_are_pinned(self, diamond, key, payload):
+        # The keystream is part of the wire format; a faster stream must give these bytes.
+        sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "diamond")
+        assert encrypt(sig, Cipher.XOR_STREAM, key).payload.hex() == payload
+
     def test_wrong_key_surfaces_as_malformed(self, diamond):
         sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "d")
         enc = encrypt(sig, Cipher.SHIFT_BYTE, 7)
