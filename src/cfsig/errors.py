@@ -43,7 +43,7 @@ class MalformedPlaintextError(CfsigError):
 
 
 class TransportError(CfsigError):
-    """A peer could not be reached over the configured transport."""
+    """A frame could not be delivered or decoded."""
 
 
 class ScenarioError(CfsigError):

@@ -37,8 +37,8 @@ from .signature import (
     EncryptedSignature,
     HashAlgorithm,
     ProcessSignature,
-    _check_key,
     build_signature,
+    check_key,
     check_label,
     decrypt,
     encrypt,
@@ -53,6 +53,8 @@ _HEADER = struct.Struct("!4sBHI")  # magic, message type, sender, payload length
 _VOTE = struct.Struct("!HB")  # subject, verdict (1 for Mismatch)
 # Node ids travel as the 16-bit sender and subject fields above.
 MAX_NODES = 1 << 16
+# An envelope's payload is [cipher tag, key & 0xFF] + ciphertext; a cipher's tag is its index here.
+CIPHER_TAGS = (Cipher.NULL, Cipher.SHIFT_BYTE, Cipher.XOR_STREAM)
 
 # Bounds each connect, accept and read of a socket frame's delivery, so a
 # silent peer cannot block a round.
@@ -87,8 +89,8 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(msg_type, sender, data[_HEADER.size:])
 
 
-def envelope_frame(sender: NodeId, enc: EncryptedSignature) -> Frame:
-    payload = bytes([enc.cipher.wire_tag, enc.key_id & 0xFF]) + enc.payload
+def envelope_frame(sender: NodeId, enc: EncryptedSignature, key: int) -> Frame:
+    payload = bytes([CIPHER_TAGS.index(enc.cipher), key & 0xFF]) + enc.payload
     return Frame(MSG_ENVELOPE, sender, payload)
 
 
@@ -101,11 +103,9 @@ def vote_frame(sender: NodeId, votes: list[VoteMessage]) -> Frame:
 def envelope_from_frame(frame: Frame) -> EncryptedSignature:
     if frame.msg_type != MSG_ENVELOPE or len(frame.payload) < 2:
         raise TransportError("not a signature envelope frame")
-    try:
-        cipher = Cipher.from_wire_tag(frame.payload[0])
-    except MalformedPlaintextError as exc:
-        raise TransportError(str(exc)) from exc
-    return EncryptedSignature(cipher, frame.payload[1], frame.payload[2:])
+    if frame.payload[0] >= len(CIPHER_TAGS):
+        raise TransportError(f"unknown cipher tag {frame.payload[0]}")
+    return EncryptedSignature(CIPHER_TAGS[frame.payload[0]], frame.payload[2:])
 
 
 def votes_from_frame(frame: Frame, n: int) -> list[VoteMessage]:
@@ -165,7 +165,7 @@ class ClusterConfig:
         if not 2 <= self.n <= MAX_NODES:
             raise ScenarioError(f"replication factor must be in 2..{MAX_NODES}, got {self.n}")
         try:
-            _check_key(self.cipher, self.key)
+            check_key(self.cipher, self.key)
         except InvalidKeyError as exc:
             raise ScenarioError(str(exc)) from exc
         if self.transport not in ("inprocess", "socket"):
@@ -212,7 +212,7 @@ class ReplicaNode:
     def envelope(self) -> bytes:
         """The encoded signature frame this node broadcasts."""
         enc = encrypt(self.signature, self.config.cipher, self.config.key)
-        return envelope_frame(self.id, enc).encode()
+        return envelope_frame(self.id, enc, self.config.key).encode()
 
     def handle_envelope(self, sender: NodeId, payload: EncryptedSignature) -> VoteMessage:
         """Decrypt and match a peer signature against the local version."""
@@ -483,20 +483,25 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
                 transcript.append(f"drop phase={phase} node={node.id} reason={exc}")
         return parsed
 
+    rounds: dict[NodeId, ConsensusRound] = {}
+    checked: dict[NodeId, int] = {}  # the live peers whose envelope each node accepted
+
     def vote(node: ReplicaNode):
         envelopes = receive(node, "signature", lambda f: (f.sender, envelope_from_frame(f)))
+        checked[node.id] = len({sender for sender, _ in envelopes} - {scenario.dead})
         votes = [node.handle_envelope(sender, enc) for sender, enc in envelopes]
         node.votes.extend(votes)
         detail = ",".join(f"{v.subject}:{'Mismatch' if v.mismatch else 'Match'}" for v in votes)
         return f"votes={detail} ", vote_frame(node.id, votes).encode()
 
-    rounds: dict[NodeId, ConsensusRound] = {}
-
     def tally(node: ReplicaNode):
         for votes in receive(node, "vote", lambda f: votes_from_frame(f, n)):
             node.votes.extend(votes)
         votes = sorted(set(node.votes))
-        rounds[node.id] = ConsensusRound(tuple(votes), conclude_round(len(live), votes))
+        verdict = conclude_round(len(live), votes)
+        if verdict.kind == "Clean" and checked[node.id] < len(live) - 1:  # it cannot vouch for an unchecked peer
+            verdict = Verdict("Inconclusive")
+        rounds[node.id] = ConsensusRound(tuple(votes), verdict)
 
     try:
         run_phase("profile", profile)

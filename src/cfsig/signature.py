@@ -28,29 +28,13 @@ class HashAlgorithm(enum.Enum):
     SHA256 = "SHA256"
 
     def __init__(self, value: str) -> None:
-        self.digest_hex_len = {"MD5": 32, "SHA1": 40, "SHA256": 64}[value]
-
-    def new(self):
-        return hashlib.new(self.value.lower())
+        self.digest_hex_len = hashlib.new(value).digest_size * 2
 
 
 class Cipher(enum.Enum):
     NULL = "Null"
     SHIFT_BYTE = "ShiftByte"
     XOR_STREAM = "XorStream"
-
-    def __init__(self, value: str) -> None:
-        self.wire_tag = {"Null": 0, "ShiftByte": 1, "XorStream": 2}[value]
-
-    @classmethod
-    def from_wire_tag(cls, tag: int) -> Cipher:
-        cipher = _CIPHERS_BY_TAG.get(tag)
-        if cipher is None:
-            raise MalformedPlaintextError(f"unknown cipher tag {tag}")
-        return cipher
-
-
-_CIPHERS_BY_TAG = {c.wire_tag: c for c in Cipher}
 
 
 def canonical(tree: ControlFlowGraph) -> str:
@@ -61,9 +45,7 @@ def canonical(tree: ControlFlowGraph) -> str:
 
 
 def hash_canonical(text: str, algorithm: HashAlgorithm) -> str:
-    h = algorithm.new()
-    h.update(text.encode("utf-8"))
-    return h.hexdigest()
+    return hashlib.new(algorithm.value, text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -154,11 +136,11 @@ def parse_signature(data: bytes) -> ProcessSignature:
 @dataclass(frozen=True)
 class EncryptedSignature:
     cipher: Cipher
-    key_id: int  # low byte of the key; a label, not a secret
     payload: bytes
 
 
-def _check_key(cipher: Cipher, key: int) -> None:
+def check_key(cipher: Cipher, key: int) -> None:
+    """Raise InvalidKeyError unless *key* is in *cipher*'s key space."""
     if cipher is Cipher.SHIFT_BYTE:
         if not 1 <= key <= 255:
             raise InvalidKeyError(f"ShiftByte key must be in 1..255, got {key}")
@@ -194,12 +176,12 @@ def _apply_cipher(cipher: Cipher, key: int, data: bytes, forward: bool) -> bytes
 
 
 def encrypt(sig: ProcessSignature, cipher: Cipher, key: int) -> EncryptedSignature:
-    _check_key(cipher, key)
+    check_key(cipher, key)
     payload = _apply_cipher(cipher, key, serialize_signature(sig), forward=True)
-    return EncryptedSignature(cipher, key & 0xFF, payload)
+    return EncryptedSignature(cipher, payload)
 
 
 def decrypt(enc: EncryptedSignature, key: int) -> ProcessSignature:
-    _check_key(enc.cipher, key)
+    check_key(enc.cipher, key)
     plaintext = _apply_cipher(enc.cipher, key, enc.payload, forward=False)
     return parse_signature(plaintext)

@@ -18,6 +18,7 @@ from cfsig import (
     ReplicaNode,
     Scenario,
     build_signature,
+    decrypt,
     encrypt,
     parse_dot,
     parse_scenario_file,
@@ -27,6 +28,7 @@ from cfsig import (
 from cfsig import replica
 from cfsig.errors import ScenarioError, TransportError
 from cfsig.replica import (
+    CIPHER_TAGS,
     FRAME_MAGIC,
     MAX_NODES,
     MSG_ENVELOPE,
@@ -58,17 +60,32 @@ def open_fds() -> int | None:
 class TestFraming:
     def test_envelope_frame_layout(self, diamond):
         sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "d")
-        enc = encrypt(sig, Cipher.SHIFT_BYTE, 9)
-        raw = envelope_frame(3, enc).encode()
-        assert raw[:4] == FRAME_MAGIC
-        assert raw[4] == MSG_ENVELOPE
-        assert int.from_bytes(raw[5:7], "big") == 3
-        assert int.from_bytes(raw[7:11], "big") == len(raw) - 11
-        assert raw[11] == Cipher.SHIFT_BYTE.wire_tag
-        assert raw[12] == 9
-        decoded = decode_frame(raw)
-        assert decoded.sender == 3
-        assert envelope_from_frame(decoded) == enc
+        # (cipher, key, tag byte, key byte): the key byte is the key mod 256.
+        for cipher, key, tag, key_byte in [
+            (Cipher.NULL, 0, 0, 0),
+            (Cipher.SHIFT_BYTE, 9, 1, 9),
+            (Cipher.XOR_STREAM, 300, 2, 44),
+            (Cipher.XOR_STREAM, 2**64 - 1, 2, 255),
+        ]:
+            enc = encrypt(sig, cipher, key)
+            raw = envelope_frame(3, enc, key).encode()
+            assert raw[:4] == FRAME_MAGIC
+            assert raw[4] == MSG_ENVELOPE
+            assert int.from_bytes(raw[5:7], "big") == 3
+            assert int.from_bytes(raw[7:11], "big") == len(raw) - 11
+            assert (raw[11], raw[12]) == (tag, key_byte), (cipher, key)
+            assert raw[13:] == enc.payload
+            decoded = decode_frame(raw)
+            assert decoded.sender == 3
+            assert envelope_from_frame(decoded) == enc
+            assert decrypt(envelope_from_frame(decoded), key) == sig
+
+    def test_cipher_tags(self):
+        assert CIPHER_TAGS == (Cipher.NULL, Cipher.SHIFT_BYTE, Cipher.XOR_STREAM)
+        assert set(CIPHER_TAGS) == set(Cipher)  # every cipher has a tag
+        with pytest.raises(TransportError) as exc:
+            envelope_from_frame(Frame(MSG_ENVELOPE, 0, b"\x03\x07payload"))
+        assert str(exc.value) == "unknown cipher tag 3"
 
     def test_vote_frame_layout(self):
         votes = [VoteMessage(1, 0, False), VoteMessage(1, 2, True)]
@@ -139,7 +156,7 @@ class TestNode:
         node = ReplicaNode(0, config)
         node.run_profiling("diamond", diamond)
         enc = encrypt(node.signature, config.cipher, config.key)
-        bad = type(enc)(enc.cipher, enc.key_id, b"\x00" + enc.payload[1:])
+        bad = type(enc)(enc.cipher, b"\x00" + enc.payload[1:])
         vote = node.handle_envelope(1, bad)
         assert vote == (0, 1, True)
         assert node.decrypt_failures
@@ -370,6 +387,7 @@ class TestSocketTransport:
             f"frame phase={phase} from={s} to={r} error=frame to peer {r} not delivered: timed out"
             for phase in ("signature", "vote") for s in range(3) for r in range(3) if r != s
         ]
+        assert result.transcript[-1] == "verdict INCONCLUSIVE"  # no node checked any peer
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ScenarioError, match="unknown transport 'udp'"):
@@ -403,7 +421,7 @@ def reframed(msg_type: int, payload: bytes, sender: int | None = None):
 
 
 class TestDroppedFrames:
-    """A frame a receiver cannot use is dropped and logged; the round still ends CLEAN."""
+    """A frame a receiver cannot use is dropped and logged; a round that loses one still ends CLEAN."""
 
     @pytest.mark.parametrize(
         "msg_type,mangle,phase,reason",
@@ -479,11 +497,24 @@ class TestDroppedFrames:
         assert errors == [
             f"frame phase=signature from={s} to=1 error=peer unreachable" for s in (0, 2)
         ]
+        assert result.rounds_per_node[1].verdict.kind == "Inconclusive"  # node 1 checked no peer
         assert result.consensus.verdict.kind == "Clean"
+
+    def test_round_that_loses_every_frame_is_inconclusive(self, monkeypatch, diamond):
+        # An intrusion detector that hears from no peer cannot report a clean cluster.
+        def send(self, receiver, frame_bytes):
+            raise TransportError("peer unreachable")
+
+        monkeypatch.setattr(InProcessTransport, "send", send)
+        tamper = (1, Mutation.parse("RemoveEdge:B2>B4"))
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond, tamper=tamper))
+        assert sum(" error=" in l for l in result.transcript) == 12
+        assert {r.verdict for r in result.rounds_per_node.values()} == {Verdict("Inconclusive")}
+        assert result.transcript[-1] == "verdict INCONCLUSIVE"
 
     def test_peer_on_another_cipher_gets_a_mismatch_vote(self, monkeypatch, diamond):
         # ShiftByte cannot take key 300, so this envelope cannot even be decrypted.
-        mangle = lambda raw, r: raw[:11] + bytes([Cipher.SHIFT_BYTE.wire_tag]) + raw[12:]
+        mangle = lambda raw, r: raw[:11] + bytes([CIPHER_TAGS.index(Cipher.SHIFT_BYTE)]) + raw[12:]
         monkeypatch.setattr(InProcessTransport, "send", mangled(MSG_ENVELOPE, mangle))
         config = ClusterConfig(n=3, cipher=Cipher.XOR_STREAM, key=300)
         result = run_cluster_scenario(config, Scenario("diamond", diamond))

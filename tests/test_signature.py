@@ -173,13 +173,6 @@ class TestCiphers:
             expected = bytes((b + delta) % 256 for b in data)
             assert _apply_cipher(Cipher.SHIFT_BYTE, key, data, forward) == expected, key
 
-    def test_wire_tags(self):
-        assert [c.wire_tag for c in Cipher] == [0, 1, 2]
-        assert [Cipher.from_wire_tag(t) for t in (0, 1, 2)] == list(Cipher)
-        with pytest.raises(MalformedPlaintextError) as exc:
-            Cipher.from_wire_tag(3)
-        assert str(exc.value) == "unknown cipher tag 3"
-
     def test_null_payload_is_plaintext(self, diamond):
         sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "d")
         assert encrypt(sig, Cipher.NULL, 0).payload == serialize_signature(sig)
@@ -241,6 +234,6 @@ class TestCiphers:
     def test_corrupted_payload(self, diamond):
         sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "d")
         enc = encrypt(sig, Cipher.SHIFT_BYTE, 7)
-        corrupted = EncryptedSignature(enc.cipher, enc.key_id, b"\x00" + enc.payload[1:])
+        corrupted = EncryptedSignature(enc.cipher, b"\x00" + enc.payload[1:])
         with pytest.raises(MalformedPlaintextError):
             decrypt(corrupted, 7)
