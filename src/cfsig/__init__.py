@@ -36,7 +36,6 @@ from .signature import (
 from .matcher import MatchVerdict, Outcome, match_cost, match_signatures
 from .replica import (
     ClusterConfig,
-    ConsensusRound,
     ReplicaNode,
     Scenario,
     Verdict,
@@ -48,7 +47,6 @@ from .replica import (
 __all__ = [
     "Cipher",
     "ClusterConfig",
-    "ConsensusRound",
     "ControlFlowGraph",
     "EncryptedSignature",
     "HashAlgorithm",

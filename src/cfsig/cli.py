@@ -79,8 +79,7 @@ def _bench_fixture(path: Path, config: ClusterConfig) -> dict:
     match_signatures(sig, remote)
     matching_s = time.perf_counter() - t
 
-    result = run_cluster_scenario(config, Scenario(path.stem, graph))
-    consensus_s = result.phase_seconds["vote"] + result.phase_seconds["tally"]
+    consensus_s = run_cluster_scenario(config, Scenario(path.stem, graph)).consensus_seconds
 
     profiling_s = cfg_to_msa_s + hashing_s
     return {

@@ -6,14 +6,14 @@ what it receives against its local version, and shares its votes. A tampered
 replica is isolated when a strict majority of live nodes vote Mismatch
 against it.
 
-One phase engine runs the round's four phases (profile, signature, vote,
-tally): it runs a per-node action on each live node in id order (a dead node
-runs none), then sends the one frame an action may return to every peer in
-(sender, receiver) order and logs each. A frame is in its receiver's inbox, or
-logged as an error, when ``send`` returns, so no phase waits for delivery and
+A round runs its steps in order, each over the live nodes in id order (a dead
+node takes no step): profile, broadcast the signatures, receive them and cast
+votes, broadcast the votes, tally. ``broadcast`` sends each frame to every peer
+in (sender, receiver) order and logs each. A frame is in its receiver's inbox,
+or logged as an error, when ``send`` returns, so no step waits for delivery and
 the transcript is a deterministic function of (config, scenario).
 A receiver drops, and logs, any frame it cannot decode or that names an
-impossible node id, and the round goes on without it.
+impossible or dead node id, and the round goes on without it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import socket
 import struct
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -94,7 +94,7 @@ def envelope_frame(sender: NodeId, enc: EncryptedSignature, key: int) -> Frame:
     return Frame(MSG_ENVELOPE, sender, payload)
 
 
-def vote_frame(sender: NodeId, votes: list[VoteMessage]) -> Frame:
+def vote_frame(sender: NodeId, votes: Iterable[VoteMessage]) -> Frame:
     """All of *sender*'s votes in one frame: a (subject, mismatch) pair each, in the given order."""
     payload = b"".join(_VOTE.pack(v.subject, v.mismatch) for v in votes)
     return Frame(MSG_VOTE, sender, payload)
@@ -124,7 +124,7 @@ def votes_from_frame(frame: Frame, n: int) -> list[VoteMessage]:
 
 
 # ---------------------------------------------------------------------------
-# Messages and round records
+# Messages and verdicts
 # ---------------------------------------------------------------------------
 
 
@@ -148,12 +148,6 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class ConsensusRound:
-    votes: tuple[VoteMessage, ...]
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     n: int
     algorithm: HashAlgorithm = HashAlgorithm.MD5
@@ -172,7 +166,7 @@ class ClusterConfig:
             raise ScenarioError(f"unknown transport {self.transport!r}")
 
 
-def conclude_round(n_live: int, votes: list[VoteMessage]) -> Verdict:
+def conclude_round(n_live: int, votes: Iterable[VoteMessage]) -> Verdict:
     """Per-subject strict-majority tally with fail-safe Inconclusive.
 
     A node lands in the intrusion set when more than half of the *n_live*
@@ -202,7 +196,8 @@ class ReplicaNode:
         self.config = config
         self.signature: ProcessSignature | None = None  # None until profiled; a dead node never is
         self.decrypt_failures: list[tuple[NodeId, str]] = []
-        self.votes: list[VoteMessage] = []  # cast by this node and received from peers
+        self.votes: tuple[VoteMessage, ...] = ()  # after the round, its tally in tuple order
+        self.verdict: Verdict | None = None  # set by the round's tally; a dead node never is
 
     def run_profiling(self, process_label: str, graph: ControlFlowGraph) -> ProcessSignature:
         """Peel and hash a valid graph; keep the signature as this node's own."""
@@ -410,10 +405,10 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
 
 @dataclass
 class RoundResult:
-    consensus: ConsensusRound
+    consensus: ReplicaNode  # the lowest live node, whose verdict is the round's
     transcript: list[str]
-    phase_seconds: dict[str, float]
-    rounds_per_node: dict[NodeId, ConsensusRound] = field(default_factory=dict)
+    consensus_seconds: float  # wall time of the vote and tally steps
+    rounds_per_node: dict[NodeId, ReplicaNode]  # every live node, by id
 
     def transcript_text(self) -> str:
         return "\n".join(self.transcript) + "\n"
@@ -423,8 +418,8 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
     """Boot n replicas, run one full detection round, return the verdict.
 
     The transcript logs every frame in a deterministic order (sorted by
-    sender then receiver per phase). ``phase_seconds`` has one entry per
-    phase: profile, signature, vote, tally.
+    sender then receiver per broadcast). After the round each live node holds
+    its tally in ``votes`` and its ``verdict``.
     """
     n = config.n
     tamper_node = None if scenario.tamper is None else scenario.tamper[0]
@@ -438,37 +433,22 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
         f"scenario label={label} n={n} alg={config.algorithm.value} "
         f"cipher={config.cipher.value} key_id={config.key & 0xFF}"
     ]
-    phase_seconds: dict[str, float] = {}
     live = [node for node in nodes if node.id != scenario.dead]
     transport = SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
 
-    def run_phase(name: str, action: Callable[[ReplicaNode], tuple[str, bytes] | None]) -> None:
-        """Run *action* on each live node, then broadcast what each returned.
-
-        An action returns at most one (transcript detail, encoded frame) pair;
-        the frame goes to every peer. A frame that ``send`` cannot deliver, on
-        sockets within ``SOCKET_TIMEOUT_S``, is logged as an ``error=`` line.
-        """
-        t0 = time.perf_counter()
-        outboxes = [(node.id, out) for node in live if (out := action(node)) is not None]
-        for sender, (detail, frame_bytes) in outboxes:
+    def broadcast(phase: str, outboxes: list[tuple[NodeId, str, bytes]]) -> None:
+        """Send each (sender, transcript detail, frame) to every peer; log each frame or its send error."""
+        for sender, detail, frame_bytes in outboxes:
             for receiver in range(n):
                 if receiver == sender:
                     continue
-                line = f"frame phase={name} from={sender} to={receiver}"
+                line = f"frame phase={phase} from={sender} to={receiver}"
                 try:
                     transport.send(receiver, frame_bytes)
                 except TransportError as exc:
                     transcript.append(f"{line} error={exc}")
                     continue
                 transcript.append(f"{line} {detail}hex={frame_bytes.hex()}")
-        phase_seconds[name] = time.perf_counter() - t0
-
-    def profile(node: ReplicaNode):
-        node.run_profiling(label, scenario.tampered_graph if node.id == tamper_node else scenario.graph)
-
-    def signature(node: ReplicaNode):
-        return "", node.envelope()
 
     def receive(node: ReplicaNode, phase: str, parse: Callable[[Frame], object]) -> list:
         """Parse the frames *node* received in *phase*; drop and log each that fails."""
@@ -476,45 +456,40 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
         for raw in sorted(transport.drain(node.id)):  # frames of one type sort by sender
             try:
                 frame = decode_frame(raw)
-                if not 0 <= frame.sender < n or frame.sender == node.id:
+                if not 0 <= frame.sender < n or frame.sender in (node.id, scenario.dead):
                     raise TransportError(f"bad sender {frame.sender}")
                 parsed.append(parse(frame))
             except TransportError as exc:
                 transcript.append(f"drop phase={phase} node={node.id} reason={exc}")
         return parsed
 
-    rounds: dict[NodeId, ConsensusRound] = {}
-    checked: dict[NodeId, int] = {}  # the live peers whose envelope each node accepted
-
-    def vote(node: ReplicaNode):
-        envelopes = receive(node, "signature", lambda f: (f.sender, envelope_from_frame(f)))
-        checked[node.id] = len({sender for sender, _ in envelopes} - {scenario.dead})
-        votes = [node.handle_envelope(sender, enc) for sender, enc in envelopes]
-        node.votes.extend(votes)
-        detail = ",".join(f"{v.subject}:{'Mismatch' if v.mismatch else 'Match'}" for v in votes)
-        return f"votes={detail} ", vote_frame(node.id, votes).encode()
-
-    def tally(node: ReplicaNode):
-        for votes in receive(node, "vote", lambda f: votes_from_frame(f, n)):
-            node.votes.extend(votes)
-        votes = sorted(set(node.votes))
-        verdict = conclude_round(len(live), votes)
-        if verdict.kind == "Clean" and checked[node.id] < len(live) - 1:  # it cannot vouch for an unchecked peer
-            verdict = Verdict("Inconclusive")
-        rounds[node.id] = ConsensusRound(tuple(votes), verdict)
-
     try:
-        run_phase("profile", profile)
+        for node in live:
+            node.run_profiling(label, scenario.tampered_graph if node.id == tamper_node else scenario.graph)
         for node in nodes:
             sig = node.signature  # None only for the dead node
             status = "silent" if sig is None else f"ok digests={len(sig.digests)}"
             transcript.append(f"profile node={node.id} status={status}")
-        run_phase("signature", signature)
-        run_phase("vote", vote)
-        run_phase("tally", tally)
+        broadcast("signature", [(node.id, "", node.envelope()) for node in live])
+
+        t0 = time.perf_counter()
+        outboxes = []
+        for node in live:
+            envelopes = receive(node, "signature", lambda f: (f.sender, envelope_from_frame(f)))
+            node.votes = tuple(node.handle_envelope(sender, enc) for sender, enc in envelopes)
+            detail = ",".join(f"{v.subject}:{'Mismatch' if v.mismatch else 'Match'}" for v in node.votes)
+            outboxes.append((node.id, f"votes={detail} ", vote_frame(node.id, node.votes).encode()))
+        broadcast("vote", outboxes)
+        for node in live:
+            checked = len({v.subject for v in node.votes})  # so far it holds one vote per envelope it accepted
+            received = receive(node, "vote", lambda f: votes_from_frame(f, n))
+            node.votes = tuple(sorted(set(node.votes).union(*received)))
+            node.verdict = conclude_round(len(live), node.votes)
+            if node.verdict.kind == "Clean" and checked < len(live) - 1:  # it cannot vouch for an unchecked peer
+                node.verdict = Verdict("Inconclusive")
+        consensus_seconds = time.perf_counter() - t0
     finally:
         transport.close()
 
-    primary = rounds[min(rounds)]
-    transcript.append(f"verdict {primary.verdict}")
-    return RoundResult(primary, transcript, phase_seconds, rounds)
+    transcript.append(f"verdict {live[0].verdict}")
+    return RoundResult(live[0], transcript, consensus_seconds, {node.id: node for node in live})

@@ -94,6 +94,34 @@ def test_signing_determinism_across_processes(tmp_path):
     report(f"determinism: {len(ALL_FIXTURES)} fixtures signed twice in separate processes, 0 diffs")
 
 
+def test_transcript_determinism_across_hash_seeds(tmp_path):
+    # Each run sees one string-hash seed; only separate processes can see two.
+    paths = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    (tmp_path / "diamond.dot").write_bytes((FIXTURES / "diamond.dot").read_bytes())
+    scenarios = {
+        "clean": ("n=3\n", 0),
+        "tamper": ("n=3\ntamper=1:RemoveEdge:B2>B4\n", 2),
+        "dead": ("n=4\ntamper=1:RemoveEdge:B2>B4\ndead=3\n", 2),
+    }
+    for name, (text, code) in scenarios.items():
+        scn = tmp_path / f"{name}.scn"
+        scn.write_text(text + "fixture=diamond.dot\n")
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"{name}.{seed}.transcript"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cfsig", "simulate", str(scn), "--transcript", str(out)],
+                capture_output=True,
+                text=True,
+                env={**env, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == code, (name, proc.stderr)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], name
+    report(f"determinism: {len(scenarios)} scenarios simulated at PYTHONHASHSEED=0 and 1, 0 diffs")
+
+
 def test_single_tamper_detection_soundness():
     rng = random.Random(7)
     detected = 0

@@ -303,6 +303,25 @@ class TestScenarios:
         assert "profile node=2 status=silent" in result.transcript
         assert threading.active_count() == baseline
 
+    def test_consensus_seconds_spans_the_vote_and_tally_steps(self, monkeypatch, diamond):
+        run_profiling, handle_envelope = ReplicaNode.run_profiling, ReplicaNode.handle_envelope
+
+        def slow_profiling(self, *args):
+            time.sleep(0.2)
+            return run_profiling(self, *args)
+
+        def slow_check(self, *args):
+            time.sleep(0.02)
+            return handle_envelope(self, *args)
+
+        monkeypatch.setattr(ReplicaNode, "run_profiling", slow_profiling)
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
+        assert result.consensus_seconds < 0.2  # profiling comes before the span
+        monkeypatch.setattr(ReplicaNode, "run_profiling", run_profiling)
+        monkeypatch.setattr(ReplicaNode, "handle_envelope", slow_check)
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
+        assert result.consensus_seconds >= 6 * 0.02  # each node checks each peer's envelope in the span
+
 
 class TestSocketTransport:
     def test_frames_match_inprocess(self, diamond):
@@ -398,16 +417,20 @@ class TestSocketTransport:
         ClusterConfig(n=socket.SOMAXCONN + 2, transport="socket")  # constructing the config opens no transport
 
 
-def mangled(msg_type: int, mangle):
-    """An InProcessTransport.send that passes the first frame of *msg_type* through *mangle*."""
+def mangled(msg_type: int, mangle, to: int | None = None):
+    """An InProcessTransport.send that passes the first frame of *msg_type* (to node *to*, if given) through *mangle*.
+
+    *mangle* returns the frame to send in its place, or a list of frames.
+    """
     original = InProcessTransport.send
     done = []  # set once the frame is mangled
 
     def send(self, receiver, frame_bytes):
-        if not done and frame_bytes[4] == msg_type:
+        if not done and frame_bytes[4] == msg_type and to in (None, receiver):
             done.append(True)
             frame_bytes = mangle(frame_bytes, receiver)
-        original(self, receiver, frame_bytes)
+        for raw in [frame_bytes] if isinstance(frame_bytes, bytes) else frame_bytes:
+            original(self, receiver, raw)
 
     return send
 
@@ -418,6 +441,11 @@ def reframed(msg_type: int, payload: bytes, sender: int | None = None):
         old = decode_frame(raw)
         return Frame(msg_type, old.sender if sender is None else sender, payload).encode()
     return mangle
+
+
+def plus(mangle):
+    """A mangle that sends the frame unchanged, then what *mangle* makes of it."""
+    return lambda raw, receiver: [raw, mangle(raw, receiver)]
 
 
 class TestDroppedFrames:
@@ -453,6 +481,28 @@ class TestDroppedFrames:
         assert len(drops) == 1, drops
         assert drops[0].startswith(f"drop phase={phase} node=") and reason in drops[0]
         assert result.consensus.verdict.kind == "Clean"
+
+    def test_vote_under_the_dead_nodes_id_is_dropped(self, monkeypatch, diamond):
+        # A second Mismatch vote against node 0 would make a majority of the two live nodes.
+        forged = plus(reframed(MSG_VOTE, b"\x00\x00\x01", sender=2))
+        monkeypatch.setattr(InProcessTransport, "send", mangled(MSG_VOTE, forged, to=0))
+        tamper = (1, Mutation.remove_edge("B2", "B4"))
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond, tamper, dead=2))
+        assert [l for l in result.transcript if l.startswith("drop ")] == [
+            "drop phase=vote node=0 reason=bad sender 2"
+        ]
+        assert result.transcript[-1] == "verdict INCONCLUSIVE"
+
+    def test_envelope_under_the_dead_nodes_id_is_dropped(self, monkeypatch, diamond):
+        # The forged envelope does not decrypt, so tallying it would be a Mismatch vote against node 2.
+        forged = plus(reframed(MSG_ENVELOPE, b"\x01\x07garbage", sender=2))
+        monkeypatch.setattr(InProcessTransport, "send", mangled(MSG_ENVELOPE, forged, to=0))
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond, dead=2))
+        assert [l for l in result.transcript if l.startswith("drop ")] == [
+            "drop phase=signature node=0 reason=bad sender 2"
+        ]
+        assert result.consensus.votes == ((0, 1, False), (1, 0, False))
+        assert result.transcript[-1] == "verdict CLEAN"
 
     def test_conflicting_votes_tally_match_first(self, monkeypatch, diamond):
         # Node 0's frame to node 1 votes both Match and Mismatch about node 2 (and
