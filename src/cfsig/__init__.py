@@ -16,7 +16,6 @@ from .cfg import (
     parse_graphml,
     prune_unreachable,
     serialize_dot,
-    serialize_graphml,
     validate_cfg,
 )
 from .arborescence import find_arborescence, peel_edge_disjoint
@@ -33,7 +32,7 @@ from .signature import (
     parse_signature,
     serialize_signature,
 )
-from .matcher import MatchVerdict, Outcome, match_cost, match_signatures
+from .matcher import MatchVerdict, Outcome, match_signatures
 from .replica import (
     ClusterConfig,
     ReplicaNode,
@@ -66,7 +65,6 @@ __all__ = [
     "find_arborescence",
     "hash_canonical",
     "load_graph",
-    "match_cost",
     "match_signatures",
     "mutate",
     "parse_dot",
@@ -77,7 +75,6 @@ __all__ = [
     "prune_unreachable",
     "run_cluster_scenario",
     "serialize_dot",
-    "serialize_graphml",
     "serialize_signature",
     "validate_cfg",
 ]

@@ -88,9 +88,6 @@ class ControlFlowGraph:
             if src not in self.nodes or dst not in self.nodes:
                 raise GraphSyntaxError(f"edge {src!r} -> {dst!r} has undeclared endpoint")
 
-    def reachable_from_entry(self) -> frozenset[BlockId]:
-        return frozenset(reachable_from(self.entry, self.edges))
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -118,15 +115,14 @@ def validate_cfg(g: ControlFlowGraph) -> ValidationReport:
     """
     loops = sorted(src for src, dst in g.edges if src == dst)
     violations = [Violation("SelfLoop", node) for node in loops]
-    reachable = g.reachable_from_entry()
-    for node in sorted(g.nodes - reachable):
+    for node in sorted(g.nodes - reachable_from(g.entry, g.edges)):
         violations.append(Violation("UnreachableNode", node))
     return ValidationReport(tuple(violations))
 
 
 def prune_unreachable(g: ControlFlowGraph) -> ControlFlowGraph:
     """Drop every node not reachable from entry, with its incident edges."""
-    keep = g.reachable_from_entry()
+    keep = reachable_from(g.entry, g.edges)
     edges = frozenset(e for e in g.edges if e[0] in keep and e[1] in keep)
     return ControlFlowGraph(keep, edges, g.entry)
 
@@ -167,24 +163,23 @@ def load_graph(path: str | Path, prune: bool = False) -> ControlFlowGraph:
     return graph
 
 
-def _resolve_entry(
-    nodes: set[BlockId], edges: set[Edge], marked: list[BlockId]
-) -> BlockId:
-    marked = list(dict.fromkeys(marked))  # one block may be marked more than once
-    if len(marked) == 1:
-        return marked[0]
+def _parsed_graph(nodes: set[BlockId], edges: set[Edge], marked: list[BlockId]) -> ControlFlowGraph:
+    """The graph a parser read; raises unless it has nodes and one entry.
+
+    The entry is the block marked as entry or, with none marked, the one block
+    that no edge from another block enters (a self-loop does not count).
+    """
+    if not nodes:
+        raise GraphSyntaxError("graph has no nodes")
+    marked = sorted(set(marked))  # one block may be marked more than once
     if len(marked) > 1:
-        raise UnknownEntryError(f"multiple nodes marked as entry: {sorted(marked)}")
-    # Self-loops do not disqualify a node from being the entry candidate.
-    targets = {dst for src, dst in edges if src != dst}
-    candidates = sorted(nodes - targets)
-    if len(candidates) == 1:
-        return candidates[0]
+        raise UnknownEntryError(f"multiple nodes marked as entry: {marked}")
+    candidates = marked or sorted(nodes - {dst for src, dst in edges if src != dst})
     if not candidates:
         raise UnknownEntryError("no entry marker and no node with in-degree 0")
-    raise UnknownEntryError(
-        f"no entry marker and multiple in-degree-0 candidates: {candidates}"
-    )
+    if len(candidates) > 1:
+        raise UnknownEntryError(f"no entry marker and multiple in-degree-0 candidates: {candidates}")
+    return ControlFlowGraph(nodes, edges, candidates[0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +312,7 @@ def parse_dot(text: str) -> ControlFlowGraph:
         i += 1
     if tokens[i + 1]:
         raise _token_error(f"trailing input {tokens[i + 1]!r}", text, i + 1)
-    if not nodes:
-        raise GraphSyntaxError("graph has no nodes")
-
-    entry = _resolve_entry(nodes, edges, marked)
-    return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
+    return _parsed_graph(nodes, edges, marked)
 
 
 def serialize_dot(g: ControlFlowGraph) -> str:
@@ -402,30 +393,7 @@ def parse_graphml(text: str) -> ControlFlowGraph:
                 raise DuplicateEdgeError(f"duplicate edge {src} -> {dst}")
             edges.add((src, dst))
         # other elements (keys, data, desc) are tolerated and ignored
-    if not nodes:
-        raise GraphSyntaxError("graph has no nodes")
-
-    entry = _resolve_entry(nodes, edges, marked)
-    return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
-
-
-def serialize_graphml(g: ControlFlowGraph) -> str:
-    """Deterministic GraphML serialization matching the supported subset."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        "<graphml>",
-        '  <graph edgedefault="directed">',
-    ]
-    for node in sorted(g.nodes):
-        if node == g.entry:
-            lines.append(f'    <node id="{node}"><data key="entry">true</data></node>')
-        else:
-            lines.append(f'    <node id="{node}"/>')
-    for src, dst in sorted(g.edges):
-        lines.append(f'    <edge source="{src}" target="{dst}"/>')
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    return _parsed_graph(nodes, edges, marked)
 
 
 # ---------------------------------------------------------------------------
@@ -458,22 +426,6 @@ class Mutation:
 
     kind: MutationKind
     operands: tuple[str, ...]
-
-    @classmethod
-    def add_edge(cls, src: BlockId, dst: BlockId) -> Mutation:
-        return cls(MutationKind.ADD_EDGE, (src, dst))
-
-    @classmethod
-    def remove_edge(cls, src: BlockId, dst: BlockId) -> Mutation:
-        return cls(MutationKind.REMOVE_EDGE, (src, dst))
-
-    @classmethod
-    def redirect_edge(cls, src: BlockId, old_dst: BlockId, new_dst: BlockId) -> Mutation:
-        return cls(MutationKind.REDIRECT_EDGE, (src, old_dst, new_dst))
-
-    @classmethod
-    def swap_node_ids(cls, a: BlockId, b: BlockId) -> Mutation:
-        return cls(MutationKind.SWAP_NODE_IDS, (a, b))
 
     @classmethod
     def remove_node(cls, node: BlockId) -> Mutation:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import socket
 import struct
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -108,14 +108,14 @@ def envelope_from_frame(frame: Frame) -> EncryptedSignature:
     return EncryptedSignature(CIPHER_TAGS[frame.payload[0]], frame.payload[2:])
 
 
-def votes_from_frame(frame: Frame, n: int) -> list[VoteMessage]:
-    """The votes in a vote frame from one of *n* nodes; TransportError for any vote no peer can cast."""
+def votes_from_frame(frame: Frame, subjects: Container[NodeId]) -> list[VoteMessage]:
+    """The votes in a vote frame; TransportError for a vote about its sender or about a node not in *subjects*."""
     if frame.msg_type != MSG_VOTE or len(frame.payload) % _VOTE.size:
         raise TransportError("not a vote frame")
     pairs = list(_VOTE.iter_unpack(frame.payload))
     if any(subject == frame.sender for subject, _ in pairs):
         raise TransportError("a node never votes about its own signature")
-    if any(subject >= n for subject, _ in pairs):
+    if any(subject not in subjects for subject, _ in pairs):
         raise TransportError("vote subject out of range")
     for _, verdict in pairs:
         if verdict > 1:
@@ -257,7 +257,6 @@ class SocketTransport(Transport):
     def __init__(self, n: int):
         super().__init__(n)
         self._listeners: list[socket.socket] = []
-        self._unread: list[socket.socket] = []  # accepted connections no send of ours made
         self.ports: dict[NodeId, int] = {}
         try:
             for i in range(n):
@@ -281,7 +280,7 @@ class SocketTransport(Transport):
                 sent_from = out.getsockname()
             conn, peer = srv.accept()
             while peer != sent_from:  # e.g. a silent peer queued first
-                self._unread.append(conn)
+                conn.close()
                 conn, peer = srv.accept()
             with conn:
                 conn.settimeout(SOCKET_TIMEOUT_S)
@@ -293,8 +292,8 @@ class SocketTransport(Transport):
         self._inboxes[receiver].append(b"".join(chunks))
 
     def close(self) -> None:
-        """Close every listener and every connection left unread, e.g. a silent peer's."""
-        for sock in self._listeners + self._unread:
+        """Close the listeners; ``send`` closes each connection it accepts."""
+        for sock in self._listeners:
             sock.close()
 
 
@@ -434,6 +433,7 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
         f"cipher={config.cipher.value} key_id={config.key & 0xFF}"
     ]
     live = [node for node in nodes if node.id != scenario.dead]
+    live_ids = {node.id for node in live}  # the only valid senders and vote subjects
     transport = SocketTransport(n) if config.transport == "socket" else InProcessTransport(n)
 
     def broadcast(phase: str, outboxes: list[tuple[NodeId, str, bytes]]) -> None:
@@ -456,7 +456,7 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
         for raw in sorted(transport.drain(node.id)):  # frames of one type sort by sender
             try:
                 frame = decode_frame(raw)
-                if not 0 <= frame.sender < n or frame.sender in (node.id, scenario.dead):
+                if frame.sender == node.id or frame.sender not in live_ids:
                     raise TransportError(f"bad sender {frame.sender}")
                 parsed.append(parse(frame))
             except TransportError as exc:
@@ -482,7 +482,7 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
         broadcast("vote", outboxes)
         for node in live:
             checked = len({v.subject for v in node.votes})  # so far it holds one vote per envelope it accepted
-            received = receive(node, "vote", lambda f: votes_from_frame(f, n))
+            received = receive(node, "vote", lambda f: votes_from_frame(f, live_ids))
             node.votes = tuple(sorted(set(node.votes).union(*received)))
             node.verdict = conclude_round(len(live), node.votes)
             if node.verdict.kind == "Clean" and checked < len(live) - 1:  # it cannot vouch for an unchecked peer

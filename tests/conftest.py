@@ -61,6 +61,25 @@ def fixture_graphs():
     ]
 
 
+def serialize_graphml(g: ControlFlowGraph) -> str:
+    """Deterministic GraphML serialization matching the supported subset."""
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        "<graphml>",
+        '  <graph edgedefault="directed">',
+    ]
+    for node in sorted(g.nodes):
+        if node == g.entry:
+            lines.append(f'    <node id="{node}"><data key="entry">true</data></node>')
+        else:
+            lines.append(f'    <node id="{node}"/>')
+    for src, dst in sorted(g.edges):
+        lines.append(f'    <edge source="{src}" target="{dst}"/>')
+    lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
+
+
 def generate_synthetic(node_count: int, edge_density: float, seed: int) -> ControlFlowGraph:
     """Deterministically generate a valid CFG from (node_count, density, seed).
 

@@ -24,13 +24,13 @@ from cfsig import (
     build_signature,
     decrypt,
     encrypt,
-    match_cost,
     mutate,
     parse_dot,
     peel_edge_disjoint,
     run_cluster_scenario,
 )
 from cfsig.errors import CfsigError
+from cfsig.matcher import match_cost
 
 from .conftest import FIXTURES, GOLDEN, enumerate_all_arborescences, fixture_graphs, generate_synthetic
 from .test_matcher import single_edge_mutations
@@ -232,7 +232,7 @@ def test_overhead_report_shape(tmp_path, capsys):
 def test_transcript_golden_files(diamond):
     cases = [
         ("n3_diamond_clean.transcript", None),
-        ("n3_diamond_tamper1.transcript", (1, Mutation.remove_edge("B2", "B4"))),
+        ("n3_diamond_tamper1.transcript", (1, Mutation.parse("RemoveEdge:B2>B4"))),
     ]
     for golden_name, tamper in cases:
         golden = (GOLDEN / golden_name).read_text()

@@ -16,16 +16,16 @@ from cfsig import (
     parse_graphml,
     prune_unreachable,
     serialize_dot,
-    serialize_graphml,
     validate_cfg,
 )
 from cfsig.cfg import (
     _DOT_SPECIALS,
     _FORBIDDEN_ID_CHARS,
-    _resolve_entry,
+    _parsed_graph,
     _token_offset,
     _tokenize_dot,
     check_block_id,
+    reachable_from,
 )
 from cfsig.errors import (
     CfsigError,
@@ -36,7 +36,7 @@ from cfsig.errors import (
     UnknownEntryError,
 )
 
-from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs, generate_synthetic
+from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs, generate_synthetic, serialize_graphml
 
 DIAMOND = "digraph g { B1 -> B2; B1 -> B3; B2 -> B4; B3 -> B4; }"
 
@@ -164,11 +164,7 @@ def reference_parse_dot(text: str) -> ControlFlowGraph:
     if p.peek() is not None:
         tok = p.peek()
         raise p.error(f"trailing input {tok.text!r}", tok)
-    if not nodes:
-        raise GraphSyntaxError("graph has no nodes")
-
-    entry = _resolve_entry(nodes, edges, marked)
-    return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
+    return _parsed_graph(nodes, edges, marked)
 
 
 def _local_name(tag: str) -> str:
@@ -228,11 +224,7 @@ def reference_parse_graphml(text: str) -> ControlFlowGraph:
             if (src, dst) in edges:
                 raise DuplicateEdgeError(f"duplicate edge {src} -> {dst}")
             edges.add((src, dst))
-    if not nodes:
-        raise GraphSyntaxError("graph has no nodes")
-
-    entry = _resolve_entry(nodes, edges, marked)
-    return ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
+    return _parsed_graph(nodes, edges, marked)
 
 
 # Valid ids, some non-ASCII, and ids that are forbidden (whitespace, ",",
@@ -693,7 +685,7 @@ class TestValidate:
                 if src in seen and dst not in seen:
                     seen.add(dst)
                     changed = True
-        assert g.reachable_from_entry() == seen
+        assert reachable_from(g.entry, g.edges) == seen
 
 
 class TestRoundTrip:
@@ -738,25 +730,25 @@ class TestGenerateSynthetic:
 
 class TestMutate:
     def test_add_edge(self, diamond):
-        g = mutate(diamond, Mutation.add_edge("B2", "B3"))
+        g = mutate(diamond, Mutation.parse("AddEdge:B2>B3"))
         assert len(g.edges) == 5 and validate_cfg(g).ok
 
     def test_remove_edge_keeps_reachability(self, diamond):
-        g = mutate(diamond, Mutation.remove_edge("B3", "B4"))
+        g = mutate(diamond, Mutation.parse("RemoveEdge:B3>B4"))
         assert validate_cfg(g).ok  # B4 still reachable through B2
 
     def test_remove_entry_rejected(self, diamond):
         with pytest.raises(ProducesInvalidGraphError):
-            mutate(diamond, Mutation.remove_node("B1"))
+            mutate(diamond, Mutation.parse("RemoveNode:B1"))
 
     def test_input_unchanged(self, diamond):
         before = (frozenset(diamond.nodes), frozenset(diamond.edges), diamond.entry)
-        mutate(diamond, Mutation.add_edge("B4", "B1"))
+        mutate(diamond, Mutation.parse("AddEdge:B4>B1"))
         assert (frozenset(diamond.nodes), frozenset(diamond.edges), diamond.entry) == before
 
     def test_missing_operand(self, diamond):
         with pytest.raises(InvalidMutationError):
-            mutate(diamond, Mutation.remove_edge("B2", "B3"))
+            mutate(diamond, Mutation.parse("RemoveEdge:B2>B3"))
 
     @pytest.mark.parametrize(
         "spec,message",
@@ -777,16 +769,16 @@ class TestMutate:
 
     def test_disconnect_rejected_unless_pruned(self):
         g = parse_dot("digraph g { B1 -> B2; B2 -> B3; }")
-        m = Mutation.remove_edge("B2", "B3")
+        m = Mutation.parse("RemoveEdge:B2>B3")
         with pytest.raises(ProducesInvalidGraphError):
             mutate(g, m)
         pruned = mutate(g, m, prune=True)
         assert pruned.nodes == {"B1", "B2"}
 
     def test_swap_and_redirect(self, diamond):
-        swapped = mutate(diamond, Mutation.swap_node_ids("B2", "B3"))
+        swapped = mutate(diamond, Mutation.parse("SwapNodeIds:B2,B3"))
         assert swapped.nodes == diamond.nodes and len(swapped.edges) == 4
-        redirected = mutate(diamond, Mutation.redirect_edge("B3", "B4", "B2"))
+        redirected = mutate(diamond, Mutation.parse("RedirectEdge:B3>B4>B2"))
         assert ("B3", "B2") in redirected.edges and ("B3", "B4") not in redirected.edges
 
     def test_parse_round_trip(self):
@@ -795,3 +787,11 @@ class TestMutate:
             assert str(Mutation.parse(spec)) == spec
         with pytest.raises(InvalidMutationError):
             Mutation.parse("Frobnicate:B1")
+
+    @pytest.mark.parametrize(
+        "spec", ["RemoveEdge:B1", "AddEdge:B1>", "RedirectEdge:B1>B2", "SwapNodeIds:B1,B2,B3", "RemoveNode:"]
+    )
+    def test_parse_rejects_bad_operands(self, spec):
+        with pytest.raises(InvalidMutationError) as exc:
+            Mutation.parse(spec)
+        assert str(exc.value) == f"bad operands in mutation spec {spec!r}"

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfsig import MutationKind, cli, parse_dot, serialize_graphml
+from cfsig import MutationKind, cli, parse_dot
 from cfsig.cli import main
 from cfsig.errors import CfsigError, ScenarioError, TransportError
 
-from .conftest import FIXTURES, UNREACHABLE_DOT, dot_texts
+from .conftest import FIXTURES, UNREACHABLE_DOT, dot_texts, serialize_graphml
 
 # A DOT file with a byte that no UTF-8 text contains.
 UNDECODABLE_DOT = b"digraph g { B1 -> B2; }\xff"

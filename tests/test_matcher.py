@@ -8,13 +8,12 @@ from cfsig import (
     MutationKind,
     Outcome,
     build_signature,
-    match_cost,
     match_signatures,
     mutate,
     peel_edge_disjoint,
 )
 from cfsig.errors import CfsigError
-from cfsig.matcher import DetailKind
+from cfsig.matcher import DetailKind, match_cost
 from cfsig.signature import ProcessSignature
 
 from .conftest import fixture_graphs, generate_synthetic
@@ -31,12 +30,12 @@ def single_edge_mutations(graph):
     for u in nodes:
         for v in nodes:
             if u != v and (u, v) not in graph.edges:
-                muts.append(Mutation.add_edge(u, v))
+                muts.append(Mutation(MutationKind.ADD_EDGE, (u, v)))
     for src, dst in sorted(graph.edges):
-        muts.append(Mutation.remove_edge(src, dst))
+        muts.append(Mutation(MutationKind.REMOVE_EDGE, (src, dst)))
         for v in nodes:
             if v != dst and (src, v) not in graph.edges:
-                muts.append(Mutation.redirect_edge(src, dst, v))
+                muts.append(Mutation(MutationKind.REDIRECT_EDGE, (src, dst, v)))
     return muts
 
 
@@ -63,7 +62,7 @@ class TestMatch:
         assert v.outcome is Outcome.MATCH and v.detail is DetailKind.EQUAL
 
     def test_detects_differing_peel(self, diamond):
-        mutated = mutate(diamond, Mutation.remove_edge("B2", "B4"))
+        mutated = mutate(diamond, Mutation.parse("RemoveEdge:B2>B4"))
         v = match_signatures(sign(diamond), sign(mutated))
         assert v.outcome is Outcome.MISMATCH
         assert v.detail is DetailKind.MISSING_DIGEST

@@ -94,18 +94,18 @@ class TestFraming:
         assert int.from_bytes(raw[5:7], "big") == 1
         assert int.from_bytes(raw[7:11], "big") == 6
         assert raw[11:] == b"\x00\x00\x00" + b"\x00\x02\x01"  # (subject, 1 for Mismatch) pairs
-        assert votes_from_frame(decode_frame(raw), 3) == votes
+        assert votes_from_frame(decode_frame(raw), range(3)) == votes
 
     @given(st.integers(0, 0xFFFF), st.dictionaries(st.integers(0, 0xFFFF), st.booleans()))
     @settings(max_examples=200, deadline=None)
     def test_vote_frame_round_trip(self, sender, verdicts):
         votes = [VoteMessage(sender, s, m) for s, m in sorted(verdicts.items()) if s != sender]
-        assert votes_from_frame(decode_frame(vote_frame(sender, votes).encode()), MAX_NODES) == votes
+        assert votes_from_frame(decode_frame(vote_frame(sender, votes).encode()), range(MAX_NODES)) == votes
 
     @given(st.integers(0, 0xFFFF), st.binary(max_size=40), st.integers(2, MAX_NODES))
     @settings(max_examples=300, deadline=None)
     def test_random_payload_raises_only_transport_error(self, sender, payload, n):
-        parse_votes = lambda frame: votes_from_frame(frame, n)
+        parse_votes = lambda frame: votes_from_frame(frame, range(n))
         for msg_type, parse in ((MSG_VOTE, parse_votes), (MSG_ENVELOPE, envelope_from_frame)):
             for raw in (payload, Frame(msg_type, sender, payload).encode()):
                 try:
@@ -128,7 +128,7 @@ class TestFraming:
 
     def test_vote_self_reference_prohibited(self):
         with pytest.raises(TransportError, match="never votes about its own signature"):
-            votes_from_frame(Frame(MSG_VOTE, 2, b"\x00\x00\x00" + b"\x00\x02\x00"), 3)
+            votes_from_frame(Frame(MSG_VOTE, 2, b"\x00\x00\x00" + b"\x00\x02\x00"), range(3))
 
     @pytest.mark.parametrize(
         "frame,reason",
@@ -142,7 +142,7 @@ class TestFraming:
     )
     def test_votes_from_frame_rejects(self, frame, reason):
         with pytest.raises(TransportError, match=reason):
-            votes_from_frame(frame, 3)
+            votes_from_frame(frame, range(3))
 
 
 class TestNode:
@@ -211,7 +211,7 @@ class TestScenarios:
         [
             (UNREACHABLE_DOT, None),
             ("digraph g { B1 [entry=true]; B1 -> B2; B2 -> B2; }", None),
-            (None, (1, Mutation.remove_node("B1"))),
+            (None, (1, Mutation.parse("RemoveNode:B1"))),
         ],
         ids=["unreachable", "self-loop", "remove-entry"],
     )
@@ -227,7 +227,7 @@ class TestScenarios:
 
     @pytest.mark.parametrize(
         "tamper,dead",
-        [((7, Mutation.remove_edge("B2", "B4")), None), ((-1, Mutation.remove_edge("B2", "B4")), None),
+        [((7, Mutation.parse("RemoveEdge:B2>B4")), None), ((-1, Mutation.parse("RemoveEdge:B2>B4")), None),
          (None, 9), (None, -1)],
         ids=["tamper=7", "tamper=-1", "dead=9", "dead=-1"],
     )
@@ -240,7 +240,7 @@ class TestScenarios:
 
     def test_tamper_on_the_dead_node_raises(self, diamond):
         with pytest.raises(ScenarioError, match="^tamper node 2 is the dead node$"):
-            Scenario("diamond", diamond, tamper=(2, Mutation.remove_edge("B2", "B4")), dead=2)
+            Scenario("diamond", diamond, tamper=(2, Mutation.parse("RemoveEdge:B2>B4")), dead=2)
 
     def test_clean_round(self, diamond):
         result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
@@ -248,7 +248,7 @@ class TestScenarios:
         assert not any(v.mismatch for v in result.consensus.votes)
 
     def test_single_tamper_isolated(self, diamond):
-        tamper = (1, Mutation.remove_edge("B2", "B4"))
+        tamper = (1, Mutation.parse("RemoveEdge:B2>B4"))
         result = run_cluster_scenario(
             ClusterConfig(n=3), Scenario("diamond", diamond, tamper=tamper)
         )
@@ -259,14 +259,14 @@ class TestScenarios:
         assert not votes[(0, 2)] and not votes[(2, 0)]
 
     def test_n2_conflict_inconclusive(self, diamond):
-        tamper = (1, Mutation.remove_edge("B2", "B4"))
+        tamper = (1, Mutation.parse("RemoveEdge:B2>B4"))
         result = run_cluster_scenario(
             ClusterConfig(n=2), Scenario("diamond", diamond, tamper=tamper)
         )
         assert result.consensus.verdict.kind == "Inconclusive"
 
     def test_all_nodes_agree_on_verdict(self, diamond):
-        tamper = (2, Mutation.add_edge("B4", "B2"))
+        tamper = (2, Mutation.parse("AddEdge:B4>B2"))
         result = run_cluster_scenario(
             ClusterConfig(n=3), Scenario("diamond", diamond, tamper=tamper)
         )
@@ -325,7 +325,7 @@ class TestScenarios:
 
 class TestSocketTransport:
     def test_frames_match_inprocess(self, diamond):
-        remove = (1, Mutation.remove_edge("B2", "B4"))
+        remove = (1, Mutation.parse("RemoveEdge:B2>B4"))
         for tamper, dead, verdict in [(None, None, "CLEAN"), (remove, None, "INTRUSION node=1"),
                                       (None, 3, "CLEAN"), (remove, 3, "INTRUSION node=1")]:
             scenario = Scenario("diamond", diamond, tamper, dead)
@@ -486,12 +486,28 @@ class TestDroppedFrames:
         # A second Mismatch vote against node 0 would make a majority of the two live nodes.
         forged = plus(reframed(MSG_VOTE, b"\x00\x00\x01", sender=2))
         monkeypatch.setattr(InProcessTransport, "send", mangled(MSG_VOTE, forged, to=0))
-        tamper = (1, Mutation.remove_edge("B2", "B4"))
+        tamper = (1, Mutation.parse("RemoveEdge:B2>B4"))
         result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond, tamper, dead=2))
         assert [l for l in result.transcript if l.startswith("drop ")] == [
             "drop phase=vote node=0 reason=bad sender 2"
         ]
         assert result.transcript[-1] == "verdict INCONCLUSIVE"
+
+    def test_vote_about_the_dead_node_is_dropped(self, monkeypatch, diamond):
+        # Two Mismatch votes against silent node 3 would make a majority of the three live nodes.
+        original = InProcessTransport.send
+
+        def send(self, receiver, frame_bytes):
+            original(self, receiver, frame_bytes)
+            if receiver == 0 and frame_bytes[4] == MSG_VOTE:
+                original(self, receiver, reframed(MSG_VOTE, b"\x00\x03\x01")(frame_bytes, receiver))
+
+        monkeypatch.setattr(InProcessTransport, "send", send)
+        result = run_cluster_scenario(ClusterConfig(n=4), Scenario("diamond", diamond, dead=3))
+        assert [l for l in result.transcript if l.startswith("drop ")] == [
+            "drop phase=vote node=0 reason=vote subject out of range"
+        ] * 2
+        assert result.transcript[-1] == "verdict CLEAN"
 
     def test_envelope_under_the_dead_nodes_id_is_dropped(self, monkeypatch, diamond):
         # The forged envelope does not decrypt, so tallying it would be a Mismatch vote against node 2.
@@ -633,7 +649,7 @@ class TestGoldenTranscripts:
         "golden_name,tamper",
         [
             ("n3_diamond_clean.transcript", None),
-            ("n3_diamond_tamper1.transcript", (1, Mutation.remove_edge("B2", "B4"))),
+            ("n3_diamond_tamper1.transcript", (1, Mutation.parse("RemoveEdge:B2>B4"))),
         ],
     )
     def test_matches_golden(self, diamond, golden_name, tamper):

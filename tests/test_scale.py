@@ -20,9 +20,10 @@ from cfsig import (
     parse_graphml,
     peel_edge_disjoint,
     serialize_dot,
-    serialize_graphml,
     validate_cfg,
 )
+
+from .conftest import serialize_graphml
 
 V = 5000
 BUDGET_S = 5.0

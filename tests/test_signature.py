@@ -98,7 +98,7 @@ class TestBuildSignature:
         # the peel never consumes B3->B2, so both graphs sign identically:
         # the documented blind spot of structurally distinct CFGs sharing
         # one peel result
-        other = mutate(diamond, Mutation.add_edge("B3", "B2"))
+        other = mutate(diamond, Mutation.parse("AddEdge:B3>B2"))
         a = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "x")
         b = build_signature(peel_edge_disjoint(other), HashAlgorithm.MD5, "x")
         assert a.digests == b.digests
