@@ -192,8 +192,11 @@ _DOT_SPECIALS = "{}[];=,"
 # and not a special. ("-" and "/" are also the start of "->" and comments.)
 _DOT_BAD_CHARS = frozenset(_FORBIDDEN_ID_CHARS - set(_DOT_SPECIALS))
 
-# One match per token. A match first skips whitespace, "//" line comments and
-# closed "/* */" comments, then captures the token in its one group, whose
+# A "//" line comment or a closed "/* */" comment.
+_DOT_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+
+# One match per token, used only for text with an error. A match first skips
+# whitespace and comments, then captures the token in its one group, whose
 # alternatives are tried in this order (it matters only where two can start
 # on the same character):
 #   1. an id, as _BLOCK_ID matches it;
@@ -201,15 +204,13 @@ _DOT_BAD_CHARS = frozenset(_FORBIDDEN_ID_CHARS - set(_DOT_SPECIALS))
 #   3. a special;
 #   4. an unclosed "/*" with the rest of the text, before the lone "/" of 5
 #      (it runs to the end, so no later "/*" is searched for a close again);
-#   5. any other non-space character, always one of _DOT_BAD_CHARS;
-#   6. the end of the text, as an empty token.
-# findall builds no match objects, so tokens carry no offsets: an offset is
-# needed only for an error message, and _token_offset re-runs the pattern to
-# find it.
+#   5. any other non-space character, always one of _DOT_BAD_CHARS.
+# findall builds no match objects, so tokens carry no offsets: _token_offset
+# re-runs the pattern to find the offset of the token an error names.
 _DOT_TOKEN = re.compile(
-    r"\s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*"
+    rf"\s*(?:(?:{_DOT_COMMENT.pattern})\s*)*"
     rf"({_BLOCK_ID.pattern}"
-    rf"|->|[{re.escape(_DOT_SPECIALS)}]|/\*.*|\S|\Z)",
+    rf"|->|[{re.escape(_DOT_SPECIALS)}]|/\*.*|\S)",
     re.DOTALL,
 )
 
@@ -225,27 +226,36 @@ def _token_error(message: str, text: str, k: int) -> GraphSyntaxError:
     return GraphSyntaxError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize_dot(text: str) -> list[str]:
-    """Split DOT text into tokens, skipping whitespace and comments.
-
-    The list ends with one empty string, the end of the text.
-    """
-    tokens = _DOT_TOKEN.findall(text)
-    if not _DOT_BAD_CHARS.isdisjoint(tokens):
-        k = next(k for k, tok in enumerate(tokens) if tok in _DOT_BAD_CHARS)
-        raise _token_error(f"unexpected character {tokens[k]!r}", text, k)
-    if len(tokens) > 1:
-        last = tokens[-2]
-        if not last:  # skipped text before the end matches the end a second time
-            tokens.pop()
-        elif last.startswith("/*"):
-            raise _token_error("unterminated block comment", text, len(tokens) - 2)
-    return tokens
-
-
 # The tokens that cannot stand where an id is expected; "" is the end. Every
 # other token is an id that check_block_id accepts (the pattern's id class).
 _DOT_NOT_ID = frozenset(_DOT_SPECIALS) | {"->", ""}
+
+
+def _tokenize_dot(text: str) -> list[str]:
+    """Split DOT text into tokens, skipping whitespace and comments.
+
+    The list ends with one empty string, the end of the text. String methods
+    split the text into the pattern's tokens: no id holds a "/", so each
+    comment starts between tokens, and as a space it still parts them; and
+    str.split() splits on exactly the characters "\\s" matches. A bad
+    character, an unclosed "/*" or a lone "/" leaves a token that is not an
+    id, and then the pattern runs to find the error.
+    """
+    spaced = _DOT_COMMENT.sub(" ", text) if "/" in text else text
+    spaced = spaced.replace("->", " -> ")
+    for special in _DOT_SPECIALS:
+        spaced = spaced.replace(special, f" {special} ")
+    tokens = spaced.split()
+    ids = "".join(set(tokens) - _DOT_NOT_ID)
+    if not ids or _BLOCK_ID.fullmatch(ids):  # the ids joined make one id exactly when each is one
+        tokens.append("")
+        return tokens
+    # The first bad character, or else the unclosed "/*" that ends the tokens.
+    tokens = _DOT_TOKEN.findall(text)
+    k = next(k for k, tok in enumerate(tokens) if tok in _DOT_BAD_CHARS or tok.startswith("/*"))
+    if tokens[k] in _DOT_BAD_CHARS:
+        raise _token_error(f"unexpected character {tokens[k]!r}", text, k)
+    raise _token_error("unterminated block comment", text, k)
 
 
 def parse_dot(text: str) -> ControlFlowGraph:

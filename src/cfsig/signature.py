@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -118,12 +119,15 @@ def parse_signature(data: bytes) -> ProcessSignature:
     label = lines[2][6:]
     if not lines[3].startswith("count:"):
         raise MalformedPlaintextError("missing count header")
-    try:
-        count = int(lines[3][6:])
-    except ValueError as exc:
-        raise MalformedPlaintextError("count is not an integer") from exc
     digests = lines[4:]
-    if len(digests) != count:
+    count_text = lines[3][6:]
+    if count_text != str(len(digests)):  # one record, one encoding: the count in canonical decimal
+        try:
+            count = int(count_text)
+        except ValueError as exc:
+            raise MalformedPlaintextError("count is not an integer") from exc
+        if count_text != str(count) or count < 0:
+            raise MalformedPlaintextError(f"count {count_text!r} is not in canonical decimal form")
         raise MalformedPlaintextError(f"expected {count} digests, found {len(digests)}")
     return ProcessSignature(algorithm, tuple(digests), label)
 
@@ -151,6 +155,9 @@ def check_key(cipher: Cipher, key: int) -> None:
         raise InvalidKeyError("key must be non-negative")
 
 
+# A round encrypts and decrypts payloads of one length under one key, so all
+# but its first call for a stream hit the cache.
+@functools.lru_cache(maxsize=8)
 def _keystream(key: int, n: int) -> bytes:
     # splitmix64-style stream; fixed here forever for wire compatibility
     state = (key * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & _MASK64
@@ -171,8 +178,8 @@ def _apply_cipher(cipher: Cipher, key: int, data: bytes, forward: bool) -> bytes
         shift = (key if forward else -key) % 256
         # A rotation of the identity table maps each byte b to (b + shift) % 256.
         return data.translate(_ALL_BYTES[shift:] + _ALL_BYTES[:shift])
-    stream = _keystream(key, len(data))
-    return bytes(b ^ s for b, s in zip(data, stream))
+    stream = int.from_bytes(_keystream(key, len(data)), "big")
+    return (int.from_bytes(data, "big") ^ stream).to_bytes(len(data), "big")
 
 
 def encrypt(sig: ProcessSignature, cipher: Cipher, key: int) -> EncryptedSignature:

@@ -16,9 +16,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # Parses, but block B3 cannot be reached from the entry.
 UNREACHABLE_DOT = "digraph g {\n  B1 [entry=true];\n  B2;\n  B3;\n  B1 -> B2;\n}\n"
 
-# Every character class the DOT tokenizer distinguishes, plus Unicode whitespace
-# (no-break space, line separator) that is whitespace but not a line break.
-DOT_ALPHABET = 'digraph B1x_{}[];=,-></*:"\n\t\r \u00a0\u2028\u00e9'
+# Every character class the DOT tokenizer distinguishes, plus rarer whitespace
+# that is not a line break: no-break space, line separator, vertical tab, form
+# feed, file separator, next line and ideographic space.
+DOT_ALPHABET = 'digraph B1x_{}[];=,-></*:"\n\t\r \u00a0\u2028\x0b\x0c\x1c\x85\u3000\u00e9'
 
 # DOT text that reaches past the tokenizer: words of the grammar in any order,
 # often after a graph header, and digraphs of whole statements, valid or not,
@@ -30,6 +31,7 @@ DOT_WORDS = [
 DOT_STATEMENTS = [
     "B1;", "B2 [entry=true];", "B3 [color=red];", "B1 -> B2;", "B2 -> B3;",
     "B3 -> B1;", "B2 -> B2;", "B1 -> B\u00e9;", "B\u00e9 -> B3;", "B1 -> ;", "B1 -> B2",
+    "/* B4; */", "// B4;",
 ]
 dot_texts = (
     st.text(alphabet=DOT_ALPHABET, max_size=60)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cfsig import (
     ControlFlowGraph,
     Mutation,
+    cfg,
     mutate,
     parse_dot,
     parse_graphml,
@@ -444,10 +445,15 @@ class TestParseDot:
             (" \n", [""]),
             ("// end", [""]),
             ("/* end */", [""]),
+            # A comment parts the tokens on either side; ids may hold "*".
+            ("B1/*c*/B2", ["B1", "B2", ""]),
+            ("B1//c\nB2", ["B1", "B2", ""]),
+            ("a*/*x*/", ["a*", ""]),
+            ("/*a*/B1/*b*/B2", ["B1", "B2", ""]),  # a block comment ends at its first "*/"
         ],
     )
     def test_tokens_end_with_one_end_marker(self, text, tokens):
-        # Skipped text before the end makes the pattern match the end twice.
+        # Whitespace or a comment before the end adds no second end marker.
         assert _tokenize_dot(text) == tokens
 
     @given(dot_texts)
@@ -458,7 +464,8 @@ class TestParseDot:
     @pytest.mark.parametrize(
         "text",
         ["", "digraph", "digraph }", "digraph g", "digraph {", "digraph g { B1 [entry=true] }",
-         "digraph g { B1 [color", "digraph g { B1; } }", "digraph g { ; }", "x { B1; }"],
+         "digraph g { B1 [color", "digraph g { B1; } }", "digraph g { ; }", "x { B1; }",
+         "// a /*\n B1 */", "B1 -/* c */> B2"],
     )
     def test_parser_matches_reference_on_short_inputs(self, text):
         assert parse_outcome(parse_dot, text) == parse_outcome(reference_parse_dot, text)
@@ -486,6 +493,25 @@ class TestParseDot:
             else:
                 text = text[:at]
             assert parse_outcome(parse_dot, text) == parse_outcome(reference_parse_dot, text), (edit, at)
+
+    def test_valid_dot_never_runs_the_token_pattern(self, fixtures_dir, monkeypatch):
+        class Unused:
+            def findall(self, text):
+                raise AssertionError("the token pattern ran on valid DOT")
+
+        texts = [path.read_text() for path in sorted(fixtures_dir.rglob("*.dot"))]
+        texts.append("digraph g {\n // B9;\n B1 /* B9; */ -> B2; /* B9 */ B1->B3;B2->B4;\nB3 -> B4; }")
+        large = generate_synthetic(800, 2.5 / 800, 1)
+        texts.append(serialize_dot(large))
+        graphs = [reference_parse_dot(text) for text in texts]
+        with monkeypatch.context() as patched:
+            patched.setattr(cfg, "_DOT_TOKEN", Unused())
+            assert [parse_dot(text) for text in texts] == graphs
+        # An error deep in the same text is found by the pattern, at the reference's position.
+        at = texts[-1].rindex("->")
+        bad = texts[-1][:at] + "-" + texts[-1][at + 2:]
+        assert parse_outcome(parse_dot, bad) == parse_outcome(reference_parse_dot, bad)
+        assert parse_outcome(parse_dot, bad)[1].startswith("unexpected character '-'")
 
     def test_repeated_entry_marker_on_one_block(self):
         g = parse_dot("digraph g { B1 [entry=true]; B1 [entry=true]; B1 -> B2; }")

@@ -135,6 +135,10 @@ class TestBuildSignature:
         (b"cfsig/1\nalg:MD5\nlabel:x\ncount:two\n", "count is not an integer"),
         (b"cfsig/1\nalg:MD5\nlabel:x\ncount:2\n" + b"b" * 32 + b"\n" + b"a" * 32 + b"\n",
          "digests must be strictly ascending"),
+        # A count int() reads but not in canonical form: each record has one encoding.
+        *[(b"cfsig/1\nalg:MD5\nlabel:x\ncount:" + count.encode() + b"\n" + b"a" * 32 + b"\n",
+           f"count {count!r} is not in canonical decimal form") for count in ["+1", "01", " 1", "1 ", "0_1"]],
+        (b"cfsig/1\nalg:MD5\nlabel:x\ncount:-0\n", "count '-0' is not in canonical decimal form"),
     ]
 
     # The ids name each case by its record, not by its message.
@@ -200,20 +204,27 @@ class TestCiphers:
         assert decrypt(encrypt(sig, Cipher.XOR_STREAM, key), key) == sig
 
     @pytest.mark.parametrize(
-        "key,payload",
+        "key,label,payload",
         [
-            (0, "d134dcf3b1b44a4e0df70da6291414a40e786704d07acf197ee0edf023b4a853392157400b30cf5e"
-                "17889b4eee05399c463264666aab334a92fad3e4bc31286e5922b25da5cf2d"),
-            (9, "f80cef0d370e9f68786906860def4515e1e3fc22d2f158252e4e15545ef00e1e99c603e655559e45"
-                "35313067a86a1ac6a984ecec3721675e70b759ff9b153e762154fac86f89da"),
-            (2**64 - 1, "73d421c6fdf9aa712500fc50d120652bc2037b600d8624c21172e2ecfa4ddda449223b194b300fc9"
-                        "0b15df9145bd02689b176230376fa23d1f92afdce8bb3b216e5975e60ca7a4"),
+            (0, "diamond",
+             "d134dcf3b1b44a4e0df70da6291414a40e786704d07acf197ee0edf023b4a853392157400b30cf5e"
+             "17889b4eee05399c463264666aab334a92fad3e4bc31286e5922b25da5cf2d"),
+            (9, "diamond",
+             "f80cef0d370e9f68786906860def4515e1e3fc22d2f158252e4e15545ef00e1e99c603e655559e45"
+             "35313067a86a1ac6a984ecec3721675e70b759ff9b153e762154fac86f89da"),
+            # The same key at another payload length: the stream is cached per length.
+            (9, "wordcount",
+             "f80cef0d370e9f68786906860def4515e1e3fc22d2f14b233d4719554f94197b8fc702b210659a7c"
+             "6666653aa9324e90ffd2ede832756b592be20ca5981e33752854adcb6adab3d1e4"),
+            (2**64 - 1, "diamond",
+             "73d421c6fdf9aa712500fc50d120652bc2037b600d8624c21172e2ecfa4ddda449223b194b300fc9"
+             "0b15df9145bd02689b176230376fa23d1f92afdce8bb3b216e5975e60ca7a4"),
         ],
-        ids=["key=0", "key=9", "key=2**64-1"],
+        ids=["key=0", "key=9", "key=9-label=wordcount", "key=2**64-1"],
     )
-    def test_xor_stream_wire_bytes_are_pinned(self, diamond, key, payload):
+    def test_xor_stream_wire_bytes_are_pinned(self, diamond, key, label, payload):
         # The keystream is part of the wire format; a faster stream must give these bytes.
-        sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, "diamond")
+        sig = build_signature(peel_edge_disjoint(diamond), HashAlgorithm.MD5, label)
         assert encrypt(sig, Cipher.XOR_STREAM, key).payload.hex() == payload
 
     def test_wrong_key_surfaces_as_malformed(self, diamond):
