@@ -195,6 +195,11 @@ _DOT_BAD_CHARS = frozenset(_FORBIDDEN_ID_CHARS - set(_DOT_SPECIALS))
 # A "//" line comment or a closed "/* */" comment.
 _DOT_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
+# The same, or an unclosed "/*" with the rest of the text, whose group keeps
+# the "/" so that the text still fails as an id. Taking the rest means the
+# search for a "*/" fails at most once: no later "/*" is searched again.
+_DOT_STRIP = re.compile(rf"{_DOT_COMMENT.pattern}|(/)\*.*", re.DOTALL)
+
 # One match per token, used only for text with an error. A match first skips
 # whitespace and comments, then captures the token in its one group, whose
 # alternatives are tried in this order (it matters only where two can start
@@ -241,7 +246,7 @@ def _tokenize_dot(text: str) -> list[str]:
     character, an unclosed "/*" or a lone "/" leaves a token that is not an
     id, and then the pattern runs to find the error.
     """
-    spaced = _DOT_COMMENT.sub(" ", text) if "/" in text else text
+    spaced = _DOT_STRIP.sub(r" \1", text) if "/" in text else text
     spaced = spaced.replace("->", " -> ")
     for special in _DOT_SPECIALS:
         spaced = spaced.replace(special, f" {special} ")

@@ -22,6 +22,7 @@ from cfsig import (
     serialize_dot,
     validate_cfg,
 )
+from cfsig.errors import GraphSyntaxError
 
 from .conftest import serialize_graphml
 
@@ -75,3 +76,14 @@ def test_v5000_signs_within_budget(build, serialize, parse):
     assert parsed == graph and report.ok
     assert len(sig.digests) == len(arbs) >= 1
     assert elapsed < BUDGET_S, f"signing V={V} took {elapsed:.2f} s"
+
+
+def test_many_unclosed_comments_fail_within_budget():
+    # Each "/*" searched for its "*/" on to the end costs time quadratic in
+    # the text: seconds at this size, where one failed search takes a millisecond.
+    text = "/* " * 20000
+    start = time.perf_counter()
+    with pytest.raises(GraphSyntaxError, match="unterminated block comment"):
+        parse_dot(text)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"rejecting {len(text)} bytes of unclosed comments took {elapsed:.2f} s"

@@ -132,13 +132,14 @@ class TestBuildSignature:
         (b"cfsig/1\nalg:MD5\nlabel:x\ncount:1\nnot-a-digest-zzzz\n", "bad MD5 digest 'not-a-digest-zzzz'"),
         (b"cfsig/1\nlabel:x\nalg:MD5\ncount:0\n", "missing alg/label header"),
         (b"cfsig/1\nalg:MD5\nlabel:x\nsize:0\n", "missing count header"),
-        (b"cfsig/1\nalg:MD5\nlabel:x\ncount:two\n", "count is not an integer"),
+        (b"cfsig/1\nalg:MD5\nlabel:x\ncount:two\n", "count 'two' is not in canonical decimal form"),
         (b"cfsig/1\nalg:MD5\nlabel:x\ncount:2\n" + b"b" * 32 + b"\n" + b"a" * 32 + b"\n",
          "digests must be strictly ascending"),
-        # A count int() reads but not in canonical form: each record has one encoding.
+        # Counts int() reads, but not written as canonical decimal: each record has one encoding.
         *[(b"cfsig/1\nalg:MD5\nlabel:x\ncount:" + count.encode() + b"\n" + b"a" * 32 + b"\n",
            f"count {count!r} is not in canonical decimal form") for count in ["+1", "01", " 1", "1 ", "0_1"]],
         (b"cfsig/1\nalg:MD5\nlabel:x\ncount:-0\n", "count '-0' is not in canonical decimal form"),
+        (b"cfsig/1\nalg:MD5\nlabel:x\ncount:-1\n", "count '-1' is not in canonical decimal form"),
     ]
 
     # The ids name each case by its record, not by its message.
