@@ -9,7 +9,7 @@ selection.
 
 from __future__ import annotations
 
-from .cfg import BlockId, ControlFlowGraph, Edge, successor_index
+from .cfg import ControlFlowGraph, Edge, bfs_tree
 
 
 def find_arborescence(
@@ -17,28 +17,18 @@ def find_arborescence(
 ) -> ControlFlowGraph | None:
     """Deterministic BFS spanning arborescence from entry, or None.
 
-    Nodes are reached layer by layer. Each layer scans the out-edges in
-    *available* of its own nodes once, and each newly reached node keeps the
-    lexicographically smallest (src, dst) parent edge among them, so the
-    whole search is O(V+E). Returns None when some node is unreachable using
-    only the available edges.
+    Nodes are reached layer by layer, and each newly reached node keeps the
+    lexicographically smallest (src, dst) parent edge from the layer above,
+    so the whole search is O(V+E). *available*, a subset of ``g.edges``,
+    limits the edges the search may use; None means all of them, and then
+    the tree is the graph's cached ``bfs_parents``. Returns None when some
+    node is unreachable using only the available edges.
     """
-    succ = successor_index(g.edges if available is None else available)
-    reached = {g.entry}
-    layer = [g.entry]
-    chosen: list[Edge] = []
-    while layer:
-        parent: dict[BlockId, BlockId] = {}
-        for src in layer:
-            for dst in succ.get(src, ()):
-                if dst not in reached and (dst not in parent or src < parent[dst]):
-                    parent[dst] = src
-        chosen.extend((src, dst) for dst, src in parent.items())
-        reached.update(parent)
-        layer = list(parent)
-    if reached != g.nodes:
+    parents = g.bfs_parents if available is None else bfs_tree(g, available)
+    if len(parents) != len(g.nodes):
         return None
-    return ControlFlowGraph(g.nodes, frozenset(chosen), g.entry)
+    edges = frozenset((src, dst) for dst, src in parents.items() if src is not None)
+    return ControlFlowGraph(g.nodes, edges, g.entry)
 
 
 def peel_edge_disjoint(g: ControlFlowGraph) -> tuple[ControlFlowGraph, ...]:
@@ -50,15 +40,11 @@ def peel_edge_disjoint(g: ControlFlowGraph) -> tuple[ControlFlowGraph, ...]:
     short of the theoretical maximum packing; both ends of a comparison run
     the same procedure, so signatures still agree.
     """
-    remaining = set(g.edges)
     found: list[ControlFlowGraph] = []
-    while True:
-        arb = find_arborescence(g, frozenset(remaining))
-        if arb is None:
-            break
+    available = None
+    while (arb := find_arborescence(g, available)) is not None:
         found.append(arb)
-        remaining -= arb.edges
         if not arb.edges:  # single-node graph: one empty arborescence
             break
+        available = (g.edges if available is None else available) - arb.edges
     return tuple(found)
-

@@ -9,10 +9,10 @@ order never matters.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import re
 import xml.etree.ElementTree as ET
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -50,25 +50,25 @@ def check_block_id(token: str) -> None:
             raise GraphSyntaxError(f"illegal character {ch!r} in block id {token!r}")
 
 
-def successor_index(edges: Iterable[Edge]) -> dict[BlockId, list[BlockId]]:
-    """Map each source block to its destinations, in the order of *edges*."""
-    succ: dict[BlockId, list[BlockId]] = {}
-    for src, dst in edges:
-        succ.setdefault(src, []).append(dst)
-    return succ
+def bfs_tree(g: ControlFlowGraph, available: frozenset[Edge] | None = None) -> dict[BlockId, BlockId | None]:
+    """Each block a BFS from the entry reaches over *available* (None: all
+    edges) mapped to its parent, the entry to None; O(V+E).
 
-
-def reachable_from(root: BlockId, edges: Iterable[Edge]) -> set[BlockId]:
-    """Every block reachable from *root* over *edges*, found in O(V+E)."""
-    succ = successor_index(edges)
-    seen = {root}
-    stack = [root]
-    while stack:
-        for dst in succ.get(stack.pop(), ()):
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return seen
+    Each layer is visited in sorted order and a block keeps its first
+    discoverer, which is its smallest parent one layer up.
+    """
+    succ = g.successors
+    parents: dict[BlockId, BlockId | None] = {g.entry: None}
+    layer = [g.entry]
+    while layer:
+        found = []
+        for src in sorted(layer):
+            for dst in succ.get(src, ()):
+                if dst not in parents and (available is None or (src, dst) in available):
+                    parents[dst] = src
+                    found.append(dst)
+        layer = found
+    return parents
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,20 @@ class ControlFlowGraph:
         for src, dst in self.edges:
             if src not in self.nodes or dst not in self.nodes:
                 raise GraphSyntaxError(f"edge {src!r} -> {dst!r} has undeclared endpoint")
+
+    # Computed once per graph value; equality and hashing see only the fields.
+    @functools.cached_property
+    def successors(self) -> dict[BlockId, list[BlockId]]:
+        """Map each source block to its destinations."""
+        succ: dict[BlockId, list[BlockId]] = {}
+        for src, dst in self.edges:
+            succ.setdefault(src, []).append(dst)
+        return succ
+
+    @functools.cached_property
+    def bfs_parents(self) -> dict[BlockId, BlockId | None]:
+        """The BFS tree over every edge, as :func:`bfs_tree` gives it."""
+        return bfs_tree(self)
 
 
 @dataclass(frozen=True)
@@ -115,14 +129,14 @@ def validate_cfg(g: ControlFlowGraph) -> ValidationReport:
     """
     loops = sorted(src for src, dst in g.edges if src == dst)
     violations = [Violation("SelfLoop", node) for node in loops]
-    for node in sorted(g.nodes - reachable_from(g.entry, g.edges)):
+    for node in sorted(g.nodes.difference(g.bfs_parents)):
         violations.append(Violation("UnreachableNode", node))
     return ValidationReport(tuple(violations))
 
 
 def prune_unreachable(g: ControlFlowGraph) -> ControlFlowGraph:
     """Drop every node not reachable from entry, with its incident edges."""
-    keep = reachable_from(g.entry, g.edges)
+    keep = g.bfs_parents.keys()
     edges = frozenset(e for e in g.edges if e[0] in keep and e[1] in keep)
     return ControlFlowGraph(keep, edges, g.entry)
 

@@ -41,7 +41,7 @@ class Cipher(enum.Enum):
 def canonical(tree: ControlFlowGraph) -> str:
     """Canonical string: sorted node list, sorted edge list, then the root."""
     nodes = ",".join(sorted(tree.nodes))
-    edges = ",".join(f"{s}>{d}" for s, d in sorted(tree.edges))
+    edges = ",".join(map(">".join, sorted(tree.edges)))
     return f"nodes:{nodes};edges:{edges};root:{tree.entry}"
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import strategies as st
 
 from cfsig import ControlFlowGraph, canonical, parse_dot
-from cfsig.cfg import reachable_from
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -61,6 +60,27 @@ def fixture_graphs():
     return [
         (p.stem, parse_dot(p.read_text())) for p in sorted(FIXTURES.glob("*.dot"))
     ]
+
+
+def successor_index(edges) -> dict[str, list[str]]:
+    """Naive reference: map each source block to its destinations, in the order of *edges*."""
+    succ: dict[str, list[str]] = {}
+    for src, dst in edges:
+        succ.setdefault(src, []).append(dst)
+    return succ
+
+
+def reachable_from(root: str, edges) -> set[str]:
+    """Naive reference: every block reachable from *root* over *edges*, by DFS."""
+    succ = successor_index(edges)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for dst in succ.get(stack.pop(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
 
 
 def serialize_graphml(g: ControlFlowGraph) -> str:

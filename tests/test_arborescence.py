@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfsig import ControlFlowGraph, find_arborescence, parse_dot, peel_edge_disjoint, serialize_dot
-from cfsig.cfg import reachable_from
+from cfsig import ControlFlowGraph, find_arborescence, parse_dot, peel_edge_disjoint, serialize_dot, validate_cfg
 
-from .conftest import enumerate_all_arborescences, fixture_graphs, generate_synthetic
+from .conftest import enumerate_all_arborescences, fixture_graphs, generate_synthetic, reachable_from
 
 
 def check_arborescence(tree):
@@ -54,6 +53,19 @@ def reference_find_arborescence(g, available=None):
     if reached != set(g.nodes):
         return None
     return ControlFlowGraph(g.nodes, frozenset(chosen), g.entry)
+
+
+def assert_matches_reference_warm_and_cold(g, available):
+    """find_arborescence agrees with the reference on a copy of *g* whose
+    cached successors and BFS tree are already filled and on a fresh one."""
+    want = reference_find_arborescence(g, available)
+    warm = ControlFlowGraph(g.nodes, g.edges, g.entry)
+    validate_cfg(warm)
+    peel_edge_disjoint(warm)
+    assert "bfs_parents" in vars(warm) and "successors" in vars(warm)
+    assert find_arborescence(warm, available) == want
+    cold = ControlFlowGraph(g.nodes, g.edges, g.entry)
+    assert find_arborescence(cold, available) == want
 
 
 @st.composite
@@ -121,8 +133,7 @@ class TestFindArborescence:
     @given(graphs_with_available())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_on_random_graphs(self, case):
-        g, available = case
-        assert find_arborescence(g, available) == reference_find_arborescence(g, available)
+        assert_matches_reference_warm_and_cold(*case)
 
     @given(
         st.integers(min_value=2, max_value=12),
@@ -134,7 +145,7 @@ class TestFindArborescence:
     def test_matches_reference_on_synthetic_subsets(self, n, density, seed, rnd):
         g = generate_synthetic(n, density, seed)
         for available in (None, frozenset(e for e in g.edges if rnd.random() < 0.7)):
-            assert find_arborescence(g, available) == reference_find_arborescence(g, available)
+            assert_matches_reference_warm_and_cold(g, available)
 
     def test_matches_reference_on_fixtures(self):
         for name, g in fixture_graphs():

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from cfsig import (
     ControlFlowGraph,
     Mutation,
+    arborescence,
     cfg,
     mutate,
     parse_dot,
     parse_graphml,
+    peel_edge_disjoint,
     prune_unreachable,
     serialize_dot,
     validate_cfg,
@@ -26,7 +28,6 @@ from cfsig.cfg import (
     _token_offset,
     _tokenize_dot,
     check_block_id,
-    reachable_from,
 )
 from cfsig.errors import (
     CfsigError,
@@ -37,7 +38,7 @@ from cfsig.errors import (
     UnknownEntryError,
 )
 
-from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs, generate_synthetic, serialize_graphml
+from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs, generate_synthetic, reachable_from, serialize_graphml
 
 DIAMOND = "digraph g { B1 -> B2; B1 -> B3; B2 -> B4; B3 -> B4; }"
 
@@ -711,7 +712,59 @@ class TestValidate:
                 if src in seen and dst not in seen:
                     seen.add(dst)
                     changed = True
+        assert set(g.bfs_parents) == seen
         assert reachable_from(g.entry, g.edges) == seen
+        assert all(parent is None or (parent, node) in g.edges for node, parent in g.bfs_parents.items())
+
+
+class TestCachedTraversal:
+    """Each graph value builds its successor index and BFS tree at most once,
+    and the cache is invisible to equality, hashing and mutation."""
+
+    def test_cache_leaves_value_semantics(self):
+        for name, g in fixture_graphs():
+            fresh = ControlFlowGraph(g.nodes, g.edges, g.entry)
+            assert validate_cfg(g).ok and len(peel_edge_disjoint(g)) == 1, name
+            assert {"successors", "bfs_parents"} <= set(vars(g)), name
+            assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh), name
+            assert {g: name}[fresh] == name
+
+    def test_mutate_returns_a_graph_with_its_own_cache(self, diamond):
+        assert diamond.bfs_parents == {"B1": None, "B2": "B1", "B3": "B1", "B4": "B2"}
+        tampered = mutate(diamond, Mutation.parse("RemoveEdge:B2>B4"))
+        assert tampered.bfs_parents == {"B1": None, "B2": "B1", "B3": "B1", "B4": "B3"}
+        assert diamond.bfs_parents["B4"] == "B2"
+
+    def test_removing_a_tree_edge_moves_the_parent(self, fixtures_dir):
+        for path in sorted(fixtures_dir.glob("**/*.dot")):
+            name, g = path.stem, parse_dot(path.read_text())
+            for dst, src in g.bfs_parents.items():
+                if src is None:
+                    continue
+                try:
+                    tampered = mutate(g, Mutation.parse(f"RemoveEdge:{src}>{dst}"))
+                except ProducesInvalidGraphError:
+                    continue
+                assert tampered.bfs_parents[dst] != src, (name, src, dst)
+                assert set(tampered.bfs_parents) == g.nodes, (name, src, dst)
+
+    def test_validate_peel_and_prune_run_one_full_bfs(self, monkeypatch):
+        full = []
+        real = cfg.bfs_tree
+
+        def counting(g, available=None):
+            if available is None:
+                full.append(g)
+            return real(g, available)
+
+        monkeypatch.setattr(cfg, "bfs_tree", counting)
+        monkeypatch.setattr(arborescence, "bfs_tree", counting)
+        for name, g in fixture_graphs():
+            full.clear()
+            assert validate_cfg(g).ok
+            assert len(peel_edge_disjoint(g)) == 1
+            assert prune_unreachable(g) == g
+            assert len(full) == 1 and full[0] is g, name
 
 
 class TestRoundTrip:
