@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -39,15 +38,19 @@ _FORBIDDEN_ID_CHARS = set('"[];{}=<>,:-/')
 _BLOCK_ID = re.compile(rf"[^\s{re.escape(''.join(sorted(_FORBIDDEN_ID_CHARS)))}]+")
 
 
+def _id_prefix_length(token: str) -> int:
+    """The length of the longest prefix of *token* that is a block id."""
+    m = _BLOCK_ID.match(token)
+    return m.end() if m else 0
+
+
 def check_block_id(token: str) -> None:
     """Raise GraphSyntaxError unless *token* is usable as a block id."""
     if _BLOCK_ID.fullmatch(token):
         return
     if not token:
         raise GraphSyntaxError("empty block id")
-    for ch in token:
-        if ch.isspace() or ch in _FORBIDDEN_ID_CHARS:
-            raise GraphSyntaxError(f"illegal character {ch!r} in block id {token!r}")
+    raise GraphSyntaxError(f"illegal character {token[_id_prefix_length(token)]!r} in block id {token!r}")
 
 
 def bfs_tree(g: ControlFlowGraph, available: frozenset[Edge] | None = None) -> dict[BlockId, BlockId | None]:
@@ -202,66 +205,53 @@ def _parsed_graph(nodes: set[BlockId], edges: set[Edge], marked: list[BlockId]) 
 
 _DOT_SPECIALS = "{}[];=,"
 
-# The characters that are a lexical error on their own: forbidden in an id
-# and not a special. ("-" and "/" are also the start of "->" and comments.)
-_DOT_BAD_CHARS = frozenset(_FORBIDDEN_ID_CHARS - set(_DOT_SPECIALS))
-
-# A "//" line comment or a closed "/* */" comment.
-_DOT_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
-
-# The same, or an unclosed "/*" with the rest of the text, whose group keeps
-# the "/" so that the text still fails as an id. Taking the rest means the
-# search for a "*/" fails at most once: no later "/*" is searched again.
-_DOT_STRIP = re.compile(rf"{_DOT_COMMENT.pattern}|(/)\*.*", re.DOTALL)
-
-# One match per token, used only for text with an error. A match first skips
-# whitespace and comments, then captures the token in its one group, whose
-# alternatives are tried in this order (it matters only where two can start
-# on the same character):
-#   1. an id, as _BLOCK_ID matches it;
-#   2. "->", before the lone "-" of 5;
-#   3. a special;
-#   4. an unclosed "/*" with the rest of the text, before the lone "/" of 5
-#      (it runs to the end, so no later "/*" is searched for a close again);
-#   5. any other non-space character, always one of _DOT_BAD_CHARS.
-# findall builds no match objects, so tokens carry no offsets: _token_offset
-# re-runs the pattern to find the offset of the token an error names.
-_DOT_TOKEN = re.compile(
-    rf"\s*(?:(?:{_DOT_COMMENT.pattern})\s*)*"
-    rf"({_BLOCK_ID.pattern}"
-    rf"|->|[{re.escape(_DOT_SPECIALS)}]|/\*.*|\S)",
-    re.DOTALL,
-)
+# A "//" line comment, a closed "/* */" comment, or an unclosed "/*" with the
+# rest of the text, whose group keeps the "/" so that the text still fails as
+# an id. Taking the rest means the search for a "*/" fails at most once: no
+# later "/*" is searched again.
+_DOT_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/|(/)\*.*", re.DOTALL)
 
 
-def _token_offset(text: str, k: int) -> int:
-    """The offset of token *k* of *text*, or 0 when k < 0."""
-    return next(itertools.islice(_DOT_TOKEN.finditer(text), k, None)).start(1) if k >= 0 else 0
+def _blank_comments(text: str) -> str:
+    """*text* with each comment blanked to as many spaces, an unclosed "/*" keeping its "/"."""
+    return _DOT_COMMENT.sub(lambda m: (m[1] or "").ljust(len(m[0])), text) if "/" in text else text
 
 
-def _token_error(message: str, text: str, k: int) -> GraphSyntaxError:
-    """A syntax error at the 1-based (line, col) of token *k*; only "\\n" ends a line."""
-    offset = _token_offset(text, k)
+def _token_offsets(text: str, tokens: list[str]) -> list[int]:
+    """The offset in *text* of each of *tokens*, which _tokenize_dot split from it.
+
+    Only whitespace lies between two tokens of the blanked text, so each
+    token is the first match of its text after the one before it.
+    """
+    blanked = _blank_comments(text)
+    offsets, end = [], 0
+    for tok in tokens:
+        end = blanked.index(tok, end)
+        offsets.append(end)
+        end += len(tok)
+    return offsets
+
+
+def _syntax_error(message: str, text: str, offset: int) -> GraphSyntaxError:
+    """A syntax error at the 1-based (line, col) of *offset*; only "\\n" ends a line."""
     return GraphSyntaxError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
 # The tokens that cannot stand where an id is expected; "" is the end. Every
-# other token is an id that check_block_id accepts (the pattern's id class).
+# other token is an id that check_block_id accepts.
 _DOT_NOT_ID = frozenset(_DOT_SPECIALS) | {"->", ""}
 
 
 def _tokenize_dot(text: str) -> list[str]:
     """Split DOT text into tokens, skipping whitespace and comments.
 
-    The list ends with one empty string, the end of the text. String methods
-    split the text into the pattern's tokens: no id holds a "/", so each
-    comment starts between tokens, and as a space it still parts them; and
-    str.split() splits on exactly the characters "\\s" matches. A bad
+    The list ends with one empty string, the end of the text. No id holds a
+    "/", so each comment starts between tokens, and as spaces it still parts
+    them; str.split() splits on exactly the characters "\\s" matches. A bad
     character, an unclosed "/*" or a lone "/" leaves a token that is not an
-    id, and then the pattern runs to find the error.
+    id, and the first such token holds the error where its id prefix ends.
     """
-    spaced = _DOT_STRIP.sub(r" \1", text) if "/" in text else text
-    spaced = spaced.replace("->", " -> ")
+    spaced = _blank_comments(text).replace("->", " -> ")
     for special in _DOT_SPECIALS:
         spaced = spaced.replace(special, f" {special} ")
     tokens = spaced.split()
@@ -269,12 +259,11 @@ def _tokenize_dot(text: str) -> list[str]:
     if not ids or _BLOCK_ID.fullmatch(ids):  # the ids joined make one id exactly when each is one
         tokens.append("")
         return tokens
-    # The first bad character, or else the unclosed "/*" that ends the tokens.
-    tokens = _DOT_TOKEN.findall(text)
-    k = next(k for k, tok in enumerate(tokens) if tok in _DOT_BAD_CHARS or tok.startswith("/*"))
-    if tokens[k] in _DOT_BAD_CHARS:
-        raise _token_error(f"unexpected character {tokens[k]!r}", text, k)
-    raise _token_error("unterminated block comment", text, k)
+    k, tok = next((k, tok) for k, tok in enumerate(tokens) if tok not in _DOT_NOT_ID and not _BLOCK_ID.fullmatch(tok))
+    at = _token_offsets(text, tokens)[k] + _id_prefix_length(tok)
+    if text.startswith("/*", at):
+        raise _syntax_error("unterminated block comment", text, at)
+    raise _syntax_error(f"unexpected character {text[at]!r}", text, at)
 
 
 def parse_dot(text: str) -> ControlFlowGraph:
@@ -286,17 +275,21 @@ def parse_dot(text: str) -> ControlFlowGraph:
     """
     tokens = _tokenize_dot(text)
 
+    def error(message: str, k: int) -> GraphSyntaxError:
+        """A syntax error at token *k*, or at the start of the text when k < 0."""
+        return _syntax_error(message, text, _token_offsets(text, tokens)[k] if k >= 0 else 0)
+
     def unexpected(k: int, expected: str | None = None) -> GraphSyntaxError:
         """The error for token *k*, which is not *expected* (None: an id)."""
         tok = tokens[k]
         if not tok:  # reported at the last token
-            return _token_error(f"unexpected end of input, expected {expected or 'token'}", text, k - 1)
+            return error(f"unexpected end of input, expected {expected or 'token'}", k - 1)
         if expected is None:
-            return _token_error(f"expected identifier, found {tok!r}", text, k)
-        return _token_error(f"expected {expected!r}, found {tok!r}", text, k)
+            return error(f"expected identifier, found {tok!r}", k)
+        return error(f"expected {expected!r}, found {tok!r}", k)
 
     if tokens[0] != "digraph":
-        raise _token_error(f"expected 'digraph', found {tokens[0]!r}", text, 0) if tokens[0] else unexpected(0)
+        raise error(f"expected 'digraph', found {tokens[0]!r}", 0) if tokens[0] else unexpected(0)
     i = 1
     if tokens[1] not in ("", "{"):  # graph name, ignored
         if tokens[1] in _DOT_NOT_ID:
@@ -331,7 +324,7 @@ def parse_dot(text: str) -> ControlFlowGraph:
                     raise unexpected(k, expected)
             key, val = tokens[i + 2], tokens[i + 4]
             if key != "entry" or val != "true":
-                raise _token_error(f"unsupported attribute {key}={val}", text, i + 2)
+                raise error(f"unsupported attribute {key}={val}", i + 2)
             marked.append(first)
             i += 6
         else:
@@ -340,7 +333,7 @@ def parse_dot(text: str) -> ControlFlowGraph:
             raise unexpected(i, ";")
         i += 1
     if tokens[i + 1]:
-        raise _token_error(f"trailing input {tokens[i + 1]!r}", text, i + 1)
+        raise error(f"trailing input {tokens[i + 1]!r}", i + 1)
     return _parsed_graph(nodes, edges, marked)
 
 

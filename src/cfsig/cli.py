@@ -41,7 +41,7 @@ EXIT_EMPTY_CORPUS = 5
 def cmd_sign(args) -> int:
     path = Path(args.input)
     graph = cfg_mod.load_graph(path, prune=args.prune_unreachable)
-    sig = build_signature(peel_edge_disjoint(graph), HashAlgorithm(args.alg.upper()), path.stem)
+    sig = build_signature(peel_edge_disjoint(graph), HashAlgorithm(args.alg), path.stem)
     out = Path(args.out) if args.out else path.with_suffix(".sig")
     out.write_bytes(serialize_signature(sig))
     print(f"digests: {len(sig.digests)}")
@@ -133,7 +133,7 @@ def _read_reference_times(path: Path, labels: set[str]) -> dict[str, float]:
 def cmd_bench(args) -> int:
     try:
         config = ClusterConfig(
-            n=3, algorithm=HashAlgorithm(args.alg.upper()), cipher=Cipher(args.cipher), key=args.key
+            n=3, algorithm=HashAlgorithm(args.alg), cipher=Cipher(args.cipher), key=args.key
         )
     except ScenarioError as exc:  # n=3 is valid, so only the key can be at fault
         raise CfsigError(f"--key: {exc}") from exc
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Each option lives only on the subcommands that read it.
     alg = argparse.ArgumentParser(add_help=False)
-    alg.add_argument("--alg", default="MD5", choices=["MD5", "SHA1", "SHA256", "md5", "sha1", "sha256"])
+    alg.add_argument("--alg", default="MD5", type=str.upper, choices=[a.value for a in HashAlgorithm])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sign", parents=[alg], help="derive a signature file from a CFG export")

@@ -339,8 +339,8 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
     Keys: ``n``, ``fixture`` (a ``.dot`` or ``.graphml`` path relative to the
     scenario file; it must be a valid CFG), optional
     ``tamper=<node>:<mutation-spec>`` (it must apply to the fixture),
-    ``alg``, ``cipher``, ``key`` (it must suit the cipher), ``dead=<node>``.
-    Each key appears at most once.
+    ``alg`` (any case), ``cipher``, ``key`` (it must suit the cipher),
+    ``dead=<node>``. Each key appears at most once.
     """
     path = Path(path)
     fields: dict[str, str] = {}
@@ -393,7 +393,7 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
         dead = int(fields["dead"]) if "dead" in fields else None
         config = ClusterConfig(
             n=n,
-            algorithm=HashAlgorithm(fields.get("alg", "MD5")),
+            algorithm=HashAlgorithm(fields.get("alg", "MD5").upper()),
             cipher=Cipher(fields.get("cipher", "ShiftByte")),
             key=int(fields.get("key", "7")),
         )

@@ -30,7 +30,7 @@ DOT_WORDS = [
 DOT_STATEMENTS = [
     "B1;", "B2 [entry=true];", "B3 [color=red];", "B1 -> B2;", "B2 -> B3;",
     "B3 -> B1;", "B2 -> B2;", "B1 -> B\u00e9;", "B\u00e9 -> B3;", "B1 -> ;", "B1 -> B2",
-    "/* B4; */", "// B4;",
+    "/* B4; */", "// B4;", "/* B1 -> B2; */", "// B1 -> B2;",
 ]
 dot_texts = (
     st.text(alphabet=DOT_ALPHABET, max_size=60)

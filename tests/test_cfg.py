@@ -25,7 +25,7 @@ from cfsig.cfg import (
     _DOT_SPECIALS,
     _FORBIDDEN_ID_CHARS,
     _parsed_graph,
-    _token_offset,
+    _token_offsets,
     _tokenize_dot,
     check_block_id,
 )
@@ -313,7 +313,7 @@ def tokens_with_offsets(text: str) -> list[Token]:
     """_tokenize_dot's tokens before its end marker, each with its offset."""
     tokens = _tokenize_dot(text)
     assert tokens.index("") == len(tokens) - 1  # exactly one end marker, last
-    return [Token(tok, _token_offset(text, k)) for k, tok in enumerate(tokens[:-1])]
+    return list(map(Token, tokens[:-1], _token_offsets(text, tokens[:-1])))
 
 
 def tokenize_outcome(tokenize, text: str):
@@ -398,6 +398,18 @@ class TestParseDot:
             (  # a no-break space separates tokens and counts as one column
                 "digraph g { B1 ->\u00a0B2\u00a0}",
                 "expected ';', found '}'", 1, 22,
+            ),
+            (  # a statement's text inside an earlier comment is not its token
+                "digraph g { /* B1 B2; */ B1 B2; }",
+                "expected ';', found 'B2'", 1, 29,
+            ),
+            ("digraph g {\n/* a\n b */ B1 -> B2;\n B2 <B3; }", "unexpected character '<'", 4, 5),
+            ("digraph g { B1/* never closed", "unterminated block comment", 1, 15),
+            ("digraph g { B1 -/* c */> B2; }", "unexpected character '-'", 1, 16),
+            ("digraph g { B1/x; }", "unexpected character '/'", 1, 15),
+            (  # an ideographic space before B1 and after ";"
+                "digraph g {\u3000B1 -> ;\u3000}",
+                "expected identifier, found ';'", 1, 19,
             ),
         ],
     )
@@ -495,10 +507,9 @@ class TestParseDot:
                 text = text[:at]
             assert parse_outcome(parse_dot, text) == parse_outcome(reference_parse_dot, text), (edit, at)
 
-    def test_valid_dot_never_runs_the_token_pattern(self, fixtures_dir, monkeypatch):
-        class Unused:
-            def findall(self, text):
-                raise AssertionError("the token pattern ran on valid DOT")
+    def test_valid_dot_never_looks_up_offsets(self, fixtures_dir, monkeypatch):
+        def unused(text, tokens):
+            raise AssertionError("token offsets were looked up for valid DOT")
 
         texts = [path.read_text() for path in sorted(fixtures_dir.rglob("*.dot"))]
         texts.append("digraph g {\n // B9;\n B1 /* B9; */ -> B2; /* B9 */ B1->B3;B2->B4;\nB3 -> B4; }")
@@ -506,9 +517,9 @@ class TestParseDot:
         texts.append(serialize_dot(large))
         graphs = [reference_parse_dot(text) for text in texts]
         with monkeypatch.context() as patched:
-            patched.setattr(cfg, "_DOT_TOKEN", Unused())
+            patched.setattr(cfg, "_token_offsets", unused)
             assert [parse_dot(text) for text in texts] == graphs
-        # An error deep in the same text is found by the pattern, at the reference's position.
+        # An error deep in the same text is found at the reference's position.
         at = texts[-1].rindex("->")
         bad = texts[-1][:at] + "-" + texts[-1][at + 2:]
         assert parse_outcome(parse_dot, bad) == parse_outcome(reference_parse_dot, bad)

@@ -178,6 +178,13 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", str(scn))
         assert code == 2 and out.strip() == "INTRUSION node=1"
 
+    def test_algorithm_name_is_case_insensitive(self, capsys, corpus):
+        scn = corpus / "sha.scn"
+        scn.write_text("n=3\nfixture=diamond.dot\nalg=sha256\n")
+        code, out, _ = run_cli(capsys, "simulate", str(scn))
+        assert code == 0 and out.strip() == "CLEAN"
+        assert (corpus / "sha.transcript").read_text().startswith("scenario label=diamond n=3 alg=SHA256 ")
+
     def test_n2_inconclusive(self, capsys, corpus):
         scn = corpus / "n2.scn"
         scn.write_text("n=2\nfixture=diamond.dot\ntamper=1:RemoveEdge:B2>B4\n")
