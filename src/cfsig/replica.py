@@ -23,6 +23,7 @@ import struct
 import time
 from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -112,15 +113,15 @@ def votes_from_frame(frame: Frame, subjects: Container[NodeId]) -> list[VoteMess
     """The votes in a vote frame; TransportError for a vote about its sender or about a node not in *subjects*."""
     if frame.msg_type != MSG_VOTE or len(frame.payload) % _VOTE.size:
         raise TransportError("not a vote frame")
-    pairs = list(_VOTE.iter_unpack(frame.payload))
-    if any(subject == frame.sender for subject, _ in pairs):
+    subject_ids, verdicts = zip(*_VOTE.iter_unpack(frame.payload)) if frame.payload else ((), ())
+    if frame.sender in subject_ids:
         raise TransportError("a node never votes about its own signature")
-    if any(subject not in subjects for subject, _ in pairs):
+    if not all(map(subjects.__contains__, subject_ids)):
         raise TransportError("vote subject out of range")
-    for _, verdict in pairs:
-        if verdict > 1:
-            raise TransportError(f"bad verdict byte {verdict}")
-    return [VoteMessage(frame.sender, subject, verdict == 1) for subject, verdict in pairs]
+    if bad := frame.payload[2::3].translate(None, b"\x00\x01"):  # the verdict bytes other than 0 and 1
+        raise TransportError(f"bad verdict byte {bad[0]}")
+    # tuple.__new__ builds each VoteMessage without a Python-level call per vote.
+    return list(map(tuple.__new__, repeat(VoteMessage), zip(repeat(frame.sender), subject_ids, map(bool, verdicts))))
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +196,27 @@ class ReplicaNode:
         self.id = node_id
         self.config = config
         self.signature: ProcessSignature | None = None  # None until profiled; a dead node never is
+        self.sealed: EncryptedSignature | None = None  # the signature encrypted for broadcast, set with it
         self.decrypt_failures: list[tuple[NodeId, str]] = []
         self.votes: tuple[VoteMessage, ...] = ()  # after the round, its tally in tuple order
         self.verdict: Verdict | None = None  # set by the round's tally; a dead node never is
 
     def run_profiling(self, process_label: str, graph: ControlFlowGraph) -> ProcessSignature:
-        """Peel and hash a valid graph; keep the signature as this node's own."""
+        """Peel and hash a valid graph; keep the signature as this node's own, and seal it."""
         self.signature = build_signature(peel_edge_disjoint(graph), self.config.algorithm, process_label)
+        self.sealed = encrypt(self.signature, self.config.cipher, self.config.key)
         return self.signature
 
     def envelope(self) -> bytes:
         """The encoded signature frame this node broadcasts."""
-        enc = encrypt(self.signature, self.config.cipher, self.config.key)
-        return envelope_frame(self.id, enc, self.config.key).encode()
+        return envelope_frame(self.id, self.sealed, self.config.key).encode()
 
     def handle_envelope(self, sender: NodeId, payload: EncryptedSignature) -> VoteMessage:
-        """Decrypt and match a peer signature against the local version."""
+        """Decrypt and match a peer signature against the local version, unless it is sealed as this node's own."""
+        # Each cipher is deterministic under the cluster's one key and each signature has one record,
+        # so an envelope equal to this node's own holds its signature: a Match, without decrypting.
+        if payload == self.sealed:
+            return VoteMessage(self.id, sender, False)
         try:
             remote = decrypt(payload, self.config.key)
         except (InvalidKeyError, MalformedPlaintextError) as exc:  # e.g. a peer on another cipher

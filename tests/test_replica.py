@@ -13,20 +13,23 @@ from hypothesis import strategies as st
 from cfsig import (
     Cipher,
     ClusterConfig,
+    EncryptedSignature,
     HashAlgorithm,
     Mutation,
+    Outcome,
     ReplicaNode,
     Scenario,
     build_signature,
     decrypt,
     encrypt,
+    match_signatures,
     parse_dot,
     parse_scenario_file,
     peel_edge_disjoint,
     run_cluster_scenario,
 )
 from cfsig import replica
-from cfsig.errors import ScenarioError, TransportError
+from cfsig.errors import InvalidKeyError, MalformedPlaintextError, ScenarioError, TransportError
 from cfsig.replica import (
     CIPHER_TAGS,
     FRAME_MAGIC,
@@ -47,6 +50,29 @@ from cfsig.replica import (
 )
 
 from .conftest import FIXTURES, UNREACHABLE_DOT, fixture_graphs
+
+
+def reference_votes_from_frame(frame: Frame, subjects) -> list[VoteMessage]:
+    """votes_from_frame as a loop over the unpacked pairs: the same votes, or the same TransportError."""
+    if frame.msg_type != MSG_VOTE or len(frame.payload) % replica._VOTE.size:
+        raise TransportError("not a vote frame")
+    pairs = list(replica._VOTE.iter_unpack(frame.payload))
+    if any(subject == frame.sender for subject, _ in pairs):
+        raise TransportError("a node never votes about its own signature")
+    if any(subject not in subjects for subject, _ in pairs):
+        raise TransportError("vote subject out of range")
+    for _, verdict in pairs:
+        if verdict > 1:
+            raise TransportError(f"bad verdict byte {verdict}")
+    return [VoteMessage(frame.sender, subject, verdict == 1) for subject, verdict in pairs]
+
+
+def outcome(parse, *args):
+    """What *parse* returns, or the message of the TransportError it raises."""
+    try:
+        return parse(*args)
+    except TransportError as exc:
+        return f"TransportError: {exc}"
 
 
 def open_fds() -> int | None:
@@ -101,6 +127,25 @@ class TestFraming:
     def test_vote_frame_round_trip(self, sender, verdicts):
         votes = [VoteMessage(sender, s, m) for s, m in sorted(verdicts.items()) if s != sender]
         assert votes_from_frame(decode_frame(vote_frame(sender, votes).encode()), range(MAX_NODES)) == votes
+
+    @given(
+        st.sampled_from([MSG_VOTE, MSG_VOTE, MSG_VOTE, MSG_ENVELOPE]),
+        st.integers(0, 9),
+        st.lists(st.tuples(st.integers(0, 11), st.sampled_from([0, 1, 2, 255])), max_size=8),
+        st.sampled_from([0, 0, 0, 1, 2, 4]),
+        st.integers(2, 9),
+        st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_votes_from_frame_matches_reference(self, msg_type, sender, pairs, cut, n, as_set):
+        payload = b"".join(replica._VOTE.pack(*pair) for pair in pairs)
+        frame = Frame(msg_type, sender, payload[:len(payload) - cut])
+        subjects = set(range(n)) if as_set else range(n)
+        got = outcome(votes_from_frame, frame, subjects)
+        assert got == outcome(reference_votes_from_frame, frame, subjects)
+        if isinstance(got, list):
+            # == would accept 1 for True, so check the types too.
+            assert all(type(v) is VoteMessage and type(v.mismatch) is bool for v in got)
 
     @given(st.integers(0, 0xFFFF), st.binary(max_size=40), st.integers(2, MAX_NODES))
     @settings(max_examples=300, deadline=None)
@@ -160,6 +205,31 @@ class TestNode:
         vote = node.handle_envelope(1, bad)
         assert vote == (0, 1, True)
         assert node.decrypt_failures
+
+    @pytest.mark.parametrize(
+        "cipher,key",
+        [(Cipher.NULL, 0), (Cipher.SHIFT_BYTE, 9), (Cipher.XOR_STREAM, 300), (Cipher.XOR_STREAM, 2**64 - 1)],
+    )
+    def test_own_envelope_short_cut_never_changes_a_vote(self, diamond, cipher, key):
+        node = ReplicaNode(0, ClusterConfig(n=3, cipher=cipher, key=key))
+        node.run_profiling("diamond", diamond)
+        sealed = node.sealed
+        assert sealed == encrypt(node.signature, cipher, key)
+        envelopes = [sealed] + [EncryptedSignature(c, sealed.payload) for c in Cipher if c is not cipher]
+        for i in range(len(sealed.payload)):
+            for bit in (0x01, 0x20, 0x80):
+                flipped = bytearray(sealed.payload)
+                flipped[i] ^= bit
+                envelopes.append(EncryptedSignature(cipher, bytes(flipped)))
+        for enc in envelopes:
+            try:
+                full_path = match_signatures(node.signature, decrypt(enc, key)).outcome is Outcome.MISMATCH
+                failed = False
+            except (InvalidKeyError, MalformedPlaintextError):
+                full_path = failed = True
+            failures = len(node.decrypt_failures)
+            assert node.handle_envelope(1, enc) == (0, 1, full_path), enc
+            assert len(node.decrypt_failures) == failures + failed, enc
 
 
 def mismatches(*pairs: tuple[int, int]) -> list[VoteMessage]:
@@ -257,6 +327,24 @@ class TestScenarios:
         votes = {(v.sender, v.subject): v.mismatch for v in result.consensus.votes}
         assert votes[(0, 1)] and votes[(2, 1)]
         assert not votes[(0, 2)] and not votes[(2, 0)]
+
+    @pytest.mark.parametrize(
+        "tamper,decrypts,verdict",
+        [(None, 0, "verdict CLEAN"), ("RemoveEdge:B2>B4", 4, "verdict INTRUSION node=1")],
+    )
+    def test_only_envelopes_unlike_a_nodes_own_are_decrypted(self, monkeypatch, diamond, tamper, decrypts, verdict):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decrypt(*args)
+
+        monkeypatch.setattr(replica, "decrypt", counted)
+        tamper = None if tamper is None else (1, Mutation.parse(tamper))
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond, tamper))
+        # With a tamper, nodes 0 and 2 each open node 1's envelope, and node 1 opens both of theirs.
+        assert len(calls) == decrypts
+        assert result.transcript[-1] == verdict
 
     def test_n2_conflict_inconclusive(self, diamond):
         tamper = (1, Mutation.parse("RemoveEdge:B2>B4"))
