@@ -167,19 +167,24 @@ class ClusterConfig:
             raise ScenarioError(f"unknown transport {self.transport!r}")
 
 
-def conclude_round(n_live: int, votes: Iterable[VoteMessage]) -> Verdict:
-    """Per-subject strict-majority tally with fail-safe Inconclusive.
+def conclude_round(n_live: int, votes: Iterable[VoteMessage], voter: NodeId) -> Verdict:
+    """*voter*'s decision: a per-subject strict-majority tally with fail-safe Inconclusive.
 
     A node lands in the intrusion set when more than half of the *n_live*
     live nodes voted Mismatch against it. Mismatch votes that form
     no majority anywhere escalate to Inconclusive rather than being dropped.
+    With no Mismatch vote the tally is Clean only if *voter*'s own votes cover
+    all n_live - 1 of its peers: it cannot vouch for a peer it did not check.
     """
     mismatch_voters: dict[NodeId, set[NodeId]] = {}
+    checked: set[NodeId] = set()
     for v in votes:
+        if v.sender == voter:
+            checked.add(v.subject)
         if v.mismatch:
             mismatch_voters.setdefault(v.subject, set()).add(v.sender)
     if not mismatch_voters:
-        return Verdict("Clean")
+        return Verdict("Clean") if len(checked) >= n_live - 1 else Verdict("Inconclusive")
     flagged = frozenset(s for s, voters in mismatch_voters.items() if len(voters) * 2 > n_live)
     return Verdict("IntrusionAt", flagged) if flagged else Verdict("Inconclusive")
 
@@ -206,10 +211,6 @@ class ReplicaNode:
         self.signature = build_signature(peel_edge_disjoint(graph), self.config.algorithm, process_label)
         self.sealed = encrypt(self.signature, self.config.cipher, self.config.key)
         return self.signature
-
-    def envelope(self) -> bytes:
-        """The encoded signature frame this node broadcasts."""
-        return envelope_frame(self.id, self.sealed, self.config.key).encode()
 
     def handle_envelope(self, sender: NodeId, payload: EncryptedSignature) -> VoteMessage:
         """Decrypt and match a peer signature against the local version, unless it is sealed as this node's own."""
@@ -476,7 +477,7 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
             sig = node.signature  # None only for the dead node
             status = "silent" if sig is None else f"ok digests={len(sig.digests)}"
             transcript.append(f"profile node={node.id} status={status}")
-        broadcast("signature", [(node.id, "", node.envelope()) for node in live])
+        broadcast("signature", [(node.id, "", envelope_frame(node.id, node.sealed, config.key).encode()) for node in live])
 
         t0 = time.perf_counter()
         outboxes = []
@@ -487,12 +488,9 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
             outboxes.append((node.id, f"votes={detail} ", vote_frame(node.id, node.votes).encode()))
         broadcast("vote", outboxes)
         for node in live:
-            checked = len({v.subject for v in node.votes})  # so far it holds one vote per envelope it accepted
             received = receive(node, "vote", lambda f: votes_from_frame(f, live_ids))
-            node.votes = tuple(sorted(set(node.votes).union(*received)))
-            node.verdict = conclude_round(len(live), node.votes)
-            if node.verdict.kind == "Clean" and checked < len(live) - 1:  # it cannot vouch for an unchecked peer
-                node.verdict = Verdict("Inconclusive")
+            node.votes = tuple(sorted(set(node.votes).union(*received)))  # receive drops frames under its own id
+            node.verdict = conclude_round(len(live), node.votes, node.id)
         consensus_seconds = time.perf_counter() - t0
     finally:
         transport.close()

@@ -237,42 +237,57 @@ def mismatches(*pairs: tuple[int, int]) -> list[VoteMessage]:
     return [VoteMessage(sender, subject, True) for sender, subject in pairs]
 
 
+def matches(voter: int, peers) -> list[VoteMessage]:
+    """Match votes from *voter*, one about each of *peers*."""
+    return [VoteMessage(voter, peer, False) for peer in peers]
+
+
 class TestConcludeRound:
     @pytest.mark.parametrize(
-        "n_live,votes,expected",
+        "n_live,votes,voter,expected",
         [
-            (4, mismatches((0, 3), (1, 3)), Verdict("Inconclusive")),  # 2 of 4 is no majority
-            (4, mismatches((0, 3), (1, 3), (2, 3)), Verdict("IntrusionAt", frozenset({3}))),
-            (3, mismatches((0, 2), (1, 2)), Verdict("IntrusionAt", frozenset({2}))),
-            (3, mismatches((0, 2), (0, 2)), Verdict("Inconclusive")),  # one sender counts once
-            (5, mismatches((0, 1), (2, 1)) + [VoteMessage(3, 1, False)], Verdict("Inconclusive")),
-            (5, mismatches((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)),
+            (4, mismatches((0, 3), (1, 3)), 0, Verdict("Inconclusive")),  # 2 of 4 is no majority
+            (4, mismatches((0, 3), (1, 3), (2, 3)), 0, Verdict("IntrusionAt", frozenset({3}))),
+            (3, mismatches((0, 2), (1, 2)), 0, Verdict("IntrusionAt", frozenset({2}))),
+            (3, mismatches((0, 2), (0, 2)), 0, Verdict("Inconclusive")),  # one sender counts once
+            (5, mismatches((0, 1), (2, 1)) + [VoteMessage(3, 1, False)], 0, Verdict("Inconclusive")),
+            (5, mismatches((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)), 0,
              Verdict("IntrusionAt", frozenset({3, 4}))),
-            (3, [VoteMessage(s, j, False) for s in range(3) for j in range(3) if s != j], Verdict("Clean")),
-            (3, [], Verdict("Clean")),
+            (3, [VoteMessage(s, j, False) for s in range(3) for j in range(3) if s != j], 0, Verdict("Clean")),
+            (3, matches(2, [0, 1]), 2, Verdict("Clean")),  # only the voter's own votes must cover its peers
+            # A voter that did not check every peer cannot vouch for the cluster.
+            (3, [], 0, Verdict("Inconclusive")),
+            (3, matches(0, [1]) + matches(1, [0, 2]) + matches(2, [0, 1]), 0, Verdict("Inconclusive")),
+            (3, matches(1, [0, 2]) + matches(2, [0, 1]), 0, Verdict("Inconclusive")),
+            # ... but what Mismatch votes decide stands, as in the rows above, whose voter checked too few peers.
+            (5, mismatches((1, 4), (2, 4), (3, 4)), 0, Verdict("IntrusionAt", frozenset({4}))),
+            (4, mismatches((1, 3)) + matches(0, [1]), 0, Verdict("Inconclusive")),
         ],
         ids=["2-of-4", "3-of-4", "2-of-3", "repeated-sender", "no-majority", "two-flagged",
-             "all-match", "no-votes"],
+             "all-match", "voter-covers-peers", "no-votes", "one-peer-unchecked", "others-checked",
+             "intrusion-none-checked", "no-majority-one-checked"],
     )
-    def test_strict_majority(self, n_live, votes, expected):
-        assert conclude_round(n_live, votes) == expected
+    def test_strict_majority(self, n_live, votes, voter, expected):
+        assert conclude_round(n_live, votes, voter) == expected
 
     @given(
         st.integers(1, 7),
         st.lists(st.builds(VoteMessage, st.integers(0, 6), st.integers(0, 6), st.booleans()), max_size=40),
+        st.integers(0, 6),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_naive_count(self, n_live, votes):
+    def test_matches_naive_count(self, n_live, votes, voter):
         pairs = {(v.sender, v.subject) for v in votes if v.mismatch}
         flagged = frozenset(
             subject for _, subject in pairs
             if 2 * sum(1 for _, j in pairs if j == subject) > n_live
         )
         if not pairs:
-            expected = Verdict("Clean")
+            checked = {v.subject for v in votes if v.sender == voter}
+            expected = Verdict("Clean") if len(checked) >= n_live - 1 else Verdict("Inconclusive")
         else:
             expected = Verdict("IntrusionAt", flagged) if flagged else Verdict("Inconclusive")
-        assert conclude_round(n_live, votes) == expected
+        assert conclude_round(n_live, votes, voter) == expected
 
 
 class TestScenarios:

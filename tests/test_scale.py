@@ -13,7 +13,6 @@ import time
 import pytest
 
 from cfsig import (
-    ControlFlowGraph,
     HashAlgorithm,
     build_signature,
     parse_dot,
@@ -24,37 +23,10 @@ from cfsig import (
 )
 from cfsig.errors import GraphSyntaxError
 
-from .conftest import serialize_graphml
+from .conftest import deep_graph, serialize_graphml, wide_graph
 
 V = 5000
 BUDGET_S = 5.0
-
-
-def wide_graph(v: int, rng: random.Random) -> ControlFlowGraph:
-    """Entry fans out to 8 heads, every later block hangs off an earlier
-    non-entry block, and random extra edges bring E to 3V: few BFS layers."""
-    names = [f"B{i:04d}" for i in range(1, v + 1)]
-    edges = {(names[0], head) for head in names[1:9]}
-    for i in range(9, v):
-        edges.add((names[rng.randrange(1, i)], names[i]))
-    while len(edges) < 3 * v:
-        src, dst = rng.sample(names[1:], 2)
-        edges.add((src, dst))
-    return ControlFlowGraph(frozenset(names), frozenset(edges), names[0])
-
-
-def deep_graph(v: int, rng: random.Random) -> ControlFlowGraph:
-    """A chain with a back-edge from each block into the 20 before it and a
-    skip edge over the next block half the time: about V/2 BFS layers."""
-    names = [f"B{i:04d}" for i in range(1, v + 1)]
-    edges = set()
-    for i in range(1, v):
-        edges.add((names[i - 1], names[i]))
-        if i >= 2:
-            edges.add((names[i], names[rng.randrange(max(1, i - 20), i)]))
-        if i + 1 < v and rng.random() < 0.5:
-            edges.add((names[i - 1], names[i + 1]))
-    return ControlFlowGraph(frozenset(names), frozenset(edges), names[0])
 
 
 @pytest.mark.parametrize(
