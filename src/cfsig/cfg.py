@@ -12,8 +12,11 @@ import enum
 import functools
 import re
 import xml.etree.ElementTree as ET
+from collections.abc import Callable, Collection
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -36,6 +39,15 @@ _FORBIDDEN_ID_CHARS = set('"[];{}=<>,:-/')
 # A block id: a run of characters neither whitespace nor forbidden. "\s"
 # matches exactly the characters str.isspace() accepts.
 _BLOCK_ID = re.compile(rf"[^\s{re.escape(''.join(sorted(_FORBIDDEN_ID_CHARS)))}]+")
+
+
+def _all_block_ids(ids: Collection[str]) -> bool:
+    """Whether each of *ids* is a block id, checked in one regex pass.
+
+    A block id is a run of allowed characters, so the ids joined make one id
+    exactly when each is one; only an empty id hides in the join.
+    """
+    return "" not in ids and (not ids or _BLOCK_ID.fullmatch("".join(ids)) is not None)
 
 
 def _id_prefix_length(token: str) -> int:
@@ -180,7 +192,7 @@ def load_graph(path: str | Path, prune: bool = False) -> ControlFlowGraph:
     return graph
 
 
-def _parsed_graph(nodes: set[BlockId], edges: set[Edge], marked: list[BlockId]) -> ControlFlowGraph:
+def _parsed_graph(nodes: AbstractSet[BlockId], edges: AbstractSet[Edge], marked: list[BlockId]) -> ControlFlowGraph:
     """The graph a parser read; raises unless it has nodes and one entry.
 
     The entry is the block marked as entry or, with none marked, the one block
@@ -255,8 +267,7 @@ def _tokenize_dot(text: str) -> list[str]:
     for special in _DOT_SPECIALS:
         spaced = spaced.replace(special, f" {special} ")
     tokens = spaced.split()
-    ids = "".join(set(tokens) - _DOT_NOT_ID)
-    if not ids or _BLOCK_ID.fullmatch(ids):  # the ids joined make one id exactly when each is one
+    if _all_block_ids(set(tokens) - _DOT_NOT_ID):
         tokens.append("")
         return tokens
     k, tok = next((k, tok) for k, tok in enumerate(tokens) if tok not in _DOT_NOT_ID and not _BLOCK_ID.fullmatch(tok))
@@ -354,6 +365,45 @@ def serialize_dot(g: ControlFlowGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _graph_in_bulk(
+    graph: ET.Element, node_tags: set[str], edge_tags: set[str], marks_entry: Callable[[ET.Element], bool]
+) -> ControlFlowGraph | None:
+    """The graph *graph* holds, read in C-level passes, or None to have the
+    element loop read it.
+
+    None unless one tag names the nodes, at most one the edges, and every
+    node comes before every edge, so that an edge's endpoints are declared
+    before it exactly when they are declared at all. Every check the loop
+    makes is then made on the whole document at once, and any failure,
+    including one raised while building the graph, returns None: the loop
+    alone names errors, in document order. Only nodes with children, the
+    entry markers, are visited in Python.
+    """
+    if len(node_tags) != 1 or len(edge_tags) > 1:
+        return None
+    node_els = graph.findall(*node_tags)
+    edge_els = graph.findall(*edge_tags) if edge_tags else []
+    children = list(graph)
+    if not node_els or (edge_els and children.index(node_els[-1]) > children.index(edge_els[0])):
+        return None
+    edge_attribs = list(map(attrgetter("attrib"), edge_els))
+    try:
+        ids = list(map(itemgetter("id"), map(attrgetter("attrib"), node_els)))
+        pairs = list(map(itemgetter("source", "target"), edge_attribs))
+    except KeyError:  # a missing attribute
+        return None
+    nodes, edges = frozenset(ids), frozenset(pairs)
+    if len(nodes) < len(ids) or len(edges) < len(pairs) or not _all_block_ids(ids):
+        return None
+    if not {None, "true"}.issuperset(map(dict.get, edge_attribs, repeat("directed"))):  # None: absent
+        return None
+    marked = [el.get("id") for el in filter(len, node_els) if marks_entry(el)]
+    try:
+        return _parsed_graph(nodes, edges, marked)
+    except CfsigError:
+        return None
+
+
 def parse_graphml(text: str) -> ControlFlowGraph:
     """Parse the supported GraphML subset; namespaces are ignored."""
     try:
@@ -386,6 +436,17 @@ def parse_graphml(text: str) -> ControlFlowGraph:
         raise GraphSyntaxError(f"unsupported edgedefault {default!r}")
 
     node_tags, edge_tags, data_tags = tags("node"), tags("edge"), tags("data")
+
+    def marks_entry(node: ET.Element) -> bool:
+        """Whether a <data> child of *node* under an entry key holds "true"."""
+        return any(
+            data.tag in data_tags and data.get("key") in entry_keys and (data.text or "").strip().lower() == "true"
+            for data in node
+        )
+
+    parsed = _graph_in_bulk(graph, node_tags, edge_tags, marks_entry)
+    if parsed is not None:
+        return parsed
     nodes: set[BlockId] = set()
     edges: set[Edge] = set()
     marked: list[BlockId] = []
@@ -398,10 +459,8 @@ def parse_graphml(text: str) -> ControlFlowGraph:
             if nid in nodes:
                 raise GraphSyntaxError(f"duplicate node id {nid!r}")
             nodes.add(nid)
-            for data in el:
-                if data.tag in data_tags and data.get("key") in entry_keys:
-                    if (data.text or "").strip().lower() == "true":
-                        marked.append(nid)
+            if marks_entry(el):
+                marked.append(nid)
         elif el.tag in edge_tags:
             src, dst = el.get("source"), el.get("target")
             if src is None or dst is None:

@@ -221,6 +221,9 @@ def reference_parse_graphml(text: str) -> ControlFlowGraph:
             src, dst = el.get("source"), el.get("target")
             if src is None or dst is None:
                 raise GraphSyntaxError("<edge> missing source or target")
+            directed = el.get("directed", "true")
+            if directed != "true":
+                raise GraphSyntaxError(f"unsupported directed={directed!r} on edge {src!r} -> {dst!r}")
             if src not in nodes or dst not in nodes:
                 raise GraphSyntaxError(f"edge {src!r} -> {dst!r} references undeclared node")
             if (src, dst) in edges:
@@ -230,9 +233,7 @@ def reference_parse_graphml(text: str) -> ControlFlowGraph:
 
 
 # Valid ids, some non-ASCII, and ids that are forbidden (whitespace, ",",
-# empty); keys that alias the entry or not. No edge carries a "directed"
-# attribute: parse_graphml rejects "false" there on purpose, where the
-# reference reads a directed edge.
+# empty); keys that alias the entry or not.
 GRAPHML_VALID_IDS = ["B1", "B2", "B3", "B4", "B5", "B\u00e9", "\u65e5"]
 GRAPHML_IDS = [*GRAPHML_VALID_IDS, "B 5", "B,6", ""]
 GRAPHML_KEYS = ["entry", "d0", "d1", ""]
@@ -249,6 +250,9 @@ _GML = {
     "key_name": st.sampled_from(["entry", "color"]),
     "value": st.sampled_from(["true", " True ", "false", ""]),
     "item": st.sampled_from(["node", "edge", "edge", "desc", "data"]),
+    "tidy_item": st.sampled_from(["edge", "edge", "desc", "data"]),
+    "edge_id": st.sampled_from([None, "e0", "e1"]),
+    "directed": st.sampled_from([None, "true", "true", "false"]),
     "flaw": st.sampled_from([None] * 6 + ["root", "no-graph", "undirected"]),
     "xmlns": st.sampled_from(["", ' xmlns="http://graphml.graphdrawing.org/xmlns"']),
     "partial": st.sampled_from([False, False, True]),
@@ -262,18 +266,22 @@ def graphml_texts(draw) -> str:
     Each element is either unprefixed or in the "g:" prefix, and the root may
     also declare a default namespace. After a few nodes, nodes, edges, <desc>
     and <data> come in any order, so an edge may precede the nodes it names,
-    and an element may repeat. A document draws its ids either from the valid
-    ones only or from all of them, and its elements may miss attributes only
-    if it is partial.
+    and an element may repeat. A tidy document is laid out as exporters write
+    one: all its elements take one prefix, after its nodes come no more
+    nodes, and every edge joins two of them and follows them all. An edge
+    may carry an id and a "directed" of "true" or "false". A document draws
+    its ids either from the valid ones only or from all of them, and its
+    elements may miss attributes only if it is partial.
     """
-    ids, partial = _GML["ids"][draw(st.booleans())], draw(_GML["partial"])
+    ids, partial, tidy = _GML["ids"][draw(st.booleans())], draw(_GML["partial"]), draw(st.booleans())
+    prefix = draw(_GML["prefix"])
 
     def element(name: str, attrs: dict, body: str = "") -> str:
-        """<name> with each of *attrs* (name to a zero-argument value maker)."""
-        values = {k: make() for k, make in attrs.items()}
+        """<name> with each of *attrs* (name to a zero-argument value maker; None leaves it out)."""
+        values = {k: v for k, make in attrs.items() if (v := make()) is not None}
         if partial and draw(st.booleans()):
             values = {k: v for k, v in values.items() if draw(st.booleans())}
-        t = draw(_GML["prefix"]) + name
+        t = (prefix if tidy else draw(_GML["prefix"])) + name
         text = "".join(f' {k}="{v}"' for k, v in values.items())
         return f"<{t}{text}>{body}</{t}>" if body else f"<{t}{text}/>"
 
@@ -284,18 +292,21 @@ def graphml_texts(draw) -> str:
         return element("node", {"id": make_id}, "".join(data() for _ in range(draw(st.integers(0, 2)))))
 
     declared = list(dict.fromkeys(draw(ids) for _ in range(draw(st.integers(0, 4)))))
-    endpoint = lambda: draw(st.sampled_from(declared)) if declared and draw(st.booleans()) else draw(ids)
+    endpoint = lambda: draw(st.sampled_from(declared)) if declared and (tidy or draw(st.booleans())) else draw(ids)
     items = [node(lambda: nid) for nid in declared]
     for _ in range(draw(st.integers(0, 10))):
-        kind = draw(_GML["item"])
+        kind = draw(_GML["tidy_item" if tidy else "item"])
         items.append(
             node(lambda: draw(ids)) if kind == "node"
-            else element("edge", {"source": endpoint, "target": endpoint}) if kind == "edge"
+            else element("edge", {"id": lambda: draw(_GML["edge_id"]), "source": endpoint, "target": endpoint,
+                                  "directed": lambda: draw(_GML["directed"])}) if kind == "edge"
             else element("desc", {}, "a comment") if kind == "desc"
             else data()
         )
     if items:  # a repeated element, often a duplicate edge
         items += [draw(st.sampled_from(items)) for _ in range(draw(st.integers(0, 2)))]
+    if tidy:  # every edge after every node, a repeated one too
+        items.sort(key=lambda item: item.startswith(("<edge", "<g:edge")))
     flaw = draw(_GML["flaw"])
     edgedefault = lambda: "undirected" if flaw == "undirected" else "directed"
     graph = "" if flaw == "no-graph" else element("graph", {"edgedefault": edgedefault}, "".join(items))
@@ -605,11 +616,16 @@ class TestParseGraphml:
             (graphml('<node id="B&#9;5"/>'), GraphSyntaxError, r"illegal character '\t' in block id 'B\t5'"),
             (graphml('<node id="B,6"/>'), GraphSyntaxError, "illegal character ',' in block id 'B,6'"),
             (graphml('<node id=""/>'), GraphSyntaxError, "empty block id"),
+            (graphml('<node id="B1"><data key="entry">true</data></node><node id=""/>'), GraphSyntaxError,
+             "empty block id"),
+            (graphml('<node id="A"/><edge source="A" target="B"/><node id="B"/>'), GraphSyntaxError,
+             "edge 'A' -> 'B' references undeclared node"),
             (graphml('<node id="A"/><node id="B"/><edge source="A" target="B" directed="false"/>'),
              GraphSyntaxError, "unsupported directed='false' on edge 'A' -> 'B'"),
         ],
         ids=["root", "no-graph", "node-id", "duplicate-node", "edge-source", "duplicate-edge", "no-nodes",
-             "space-id", "tab-id", "comma-id", "empty-id", "undirected-edge"],
+             "space-id", "tab-id", "comma-id", "empty-id", "empty-id-after-entry", "edge-before-node",
+             "undirected-edge"],
     )
     def test_rejects(self, text, error, message):
         with pytest.raises(error) as exc:

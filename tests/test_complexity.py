@@ -2,9 +2,11 @@
 
 Each gate counts the ``call`` and ``c_call`` events that ``sys.setprofile``
 sees while a piece of work runs. The count does not depend on the host's
-speed or load, so a gate on how it scales holds on any runner. Only the
-scaling ratios are gated, never absolute counts: a change that moves work
-between Python and C shifts the counts without changing the time.
+speed or load, so a gate on how it scales holds on any runner. The scaling
+gates compare ratios, not absolute counts: a change that moves work between
+Python and C shifts the counts without changing the time. One gate bounds a
+count on purpose: a valid GraphML document is read without a Python call per
+edge.
 
 The proxy sees calls, not the work inside one C call: a ``sorted(parents)``
 put in the BFS loop would make the sign quadratic with one call per block.
@@ -16,8 +18,10 @@ wall-clock guards in ``test_scale.py`` cover those.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -35,7 +39,7 @@ from cfsig import (
     serialize_dot,
     validate_cfg,
 )
-from cfsig.errors import GraphSyntaxError
+from cfsig.errors import DuplicateEdgeError, GraphSyntaxError
 
 from .conftest import FIXTURES, deep_graph, serialize_graphml, wide_graph
 
@@ -136,3 +140,25 @@ def test_dot_errors_parse_in_linear_calls(tail, message):
         text = chain(k) + tail(k)
         per_char[k] = count_calls(rejects, text, message) / len(text)
     assert per_char[2500] <= 1.1 * per_char[250], per_char
+
+
+def exported_graphml(graph: ControlFlowGraph) -> str:
+    """serialize_graphml's text with an id and ``directed="true"`` on every edge, as exporters write it."""
+    n = itertools.count()
+    return re.sub("<edge ", lambda _: f'<edge id="e{next(n)}" directed="true" ', serialize_graphml(graph))
+
+
+def test_valid_graphml_parses_in_fewer_calls_than_edges():
+    # A valid document is read in C-level passes; only the entry marker is visited in Python.
+    graph = wide_graph(2000, random.Random(2000))
+    assert count_calls(parse_graphml, exported_graphml(graph)) < len(graph.edges)
+
+
+def test_graphml_duplicate_edge_still_named():
+    graph = wide_graph(2000, random.Random(2000))
+    text = exported_graphml(graph)
+    start = text.rindex("<edge ")
+    end = text.index("\n", start) + 1
+    src, dst = max(graph.edges)  # serialize_graphml writes the edges sorted
+    with pytest.raises(DuplicateEdgeError, match=f"^duplicate edge {src} -> {dst}$"):
+        parse_graphml(text[:end] + text[start:end] + text[end:])
