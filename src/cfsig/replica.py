@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import time
 from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -413,7 +412,6 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
 class RoundResult:
     consensus: ReplicaNode  # the lowest live node, whose verdict is the round's
     transcript: list[str]
-    consensus_seconds: float  # wall time of the vote and tally steps
     rounds_per_node: dict[NodeId, ReplicaNode]  # every live node, by id
 
     def transcript_text(self) -> str:
@@ -479,7 +477,6 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
             transcript.append(f"profile node={node.id} status={status}")
         broadcast("signature", [(node.id, "", envelope_frame(node.id, node.sealed, config.key).encode()) for node in live])
 
-        t0 = time.perf_counter()
         outboxes = []
         for node in live:
             envelopes = receive(node, "signature", lambda f: (f.sender, envelope_from_frame(f)))
@@ -491,9 +488,8 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
             received = receive(node, "vote", lambda f: votes_from_frame(f, live_ids))
             node.votes = tuple(sorted(set(node.votes).union(*received)))  # receive drops frames under its own id
             node.verdict = conclude_round(len(live), node.votes, node.id)
-        consensus_seconds = time.perf_counter() - t0
     finally:
         transport.close()
 
     transcript.append(f"verdict {live[0].verdict}")
-    return RoundResult(live[0], transcript, consensus_seconds, {node.id: node for node in live})
+    return RoundResult(live[0], transcript, {node.id: node for node in live})

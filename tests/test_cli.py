@@ -227,7 +227,7 @@ class TestBench:
     def test_report_shape(self, capsys, tmp_path, fixtures_dir):
         bench = fixtures_dir / "bench"
         refs = tmp_path / "refs.txt"
-        refs.write_text("wordmean=6.988\npentomino=4.914\n")
+        refs.write_text("wordmean=0.002\npentomino=0.004\n")  # job times near the cost, so the percent is large
         csv_path = tmp_path / "report.csv"
         code, out, _ = run_cli(
             capsys, "bench", str(bench), "--reference", str(refs), "--csv", str(csv_path)
@@ -238,32 +238,20 @@ class TestBench:
         assert len(rows) == 17  # 16 fixtures + average row
         assert rows[-1]["label"] == "average"
         for row in rows[:-1]:
-            total = float(row["proposed_total_s"])
-            parts = (
-                float(row["profiling_s"])
-                + float(row["matching_s"])
-                + float(row["consensus_s"])
-            )
-            assert total == pytest.approx(parts, abs=2e-4)
-            assert float(row["profiling_s"]) == pytest.approx(
-                float(row["cfg_to_msa_s"]) + float(row["hashing_s"]), abs=2e-4
-            )
+            sign_ms, round_ms, total = (float(row[c]) for c in ("sign_ms", "round_ms", "total_ms"))
+            assert min(sign_ms, round_ms, total) > 0  # every timing is a measurement, none reads 0.000
+            assert total == pytest.approx(sign_ms + round_ms, abs=2e-3)  # three cells rounded to .3f
             if row["reference_exec_s"]:
                 assert float(row["overhead_percent"]) == pytest.approx(
-                    total / float(row["reference_exec_s"]) * 100, abs=0.05
+                    total / 1000 / float(row["reference_exec_s"]) * 100, abs=0.05
                 )
+        assert [row["label"] for row in rows if row["overhead_percent"]] == ["pentomino", "wordmean"]
         assert rows[0]["reference_exec_s"] == ""  # labels sorted; aggregate* first
 
     # Timings exact in binary, so every formatted cell is free of rounding ties.
     LAYOUT_ROWS = {
-        "alpha": {
-            "label": "alpha", "profiling_s": 0.75, "cfg_to_msa_s": 0.5, "hashing_s": 0.25,
-            "matching_s": 0.125, "consensus_s": 0.0625, "proposed_total_s": 0.9375,
-        },
-        "beta": {
-            "label": "beta", "profiling_s": 3.0, "cfg_to_msa_s": 123456789.0, "hashing_s": 0.5,
-            "matching_s": 0.25, "consensus_s": 0.3125, "proposed_total_s": 3.5625,
-        },
+        "alpha": {"label": "alpha", "sign_ms": 0.25, "round_ms": 0.5, "total_ms": 0.75},
+        "beta": {"label": "beta", "sign_ms": 123456.5, "round_ms": 0.25, "total_ms": 123456.75},
     }
 
     def test_report_layout(self, capsys, monkeypatch, tmp_path, fixtures_dir):
@@ -272,7 +260,7 @@ class TestBench:
         for stem in self.LAYOUT_ROWS:
             (corpus / f"{stem}.dot").write_bytes((fixtures_dir / "diamond.dot").read_bytes())
         refs = tmp_path / "refs.txt"
-        refs.write_text("beta=1.75\n")
+        refs.write_text("beta=1562.5\n")
         csv_path = tmp_path / "report.csv"
         monkeypatch.setattr(cli, "_bench_fixture", lambda path, *rest: dict(self.LAYOUT_ROWS[path.stem]))
         code, out, err = run_cli(
@@ -280,24 +268,19 @@ class TestBench:
         )
         assert code == 0 and err == ""
         assert out == (
-            "label    profiling_s  cfg_to_msa_s    hashing_s  matching_s  consensus_s"
-            "  proposed_total_s  reference_exec_s  overhead_percent\n"
-            + "-" * 126 + "\n"
-            "alpha    0.7500       0.5000          0.2500     0.1250      0.0625     "
-            "  0.9375                                              \n"
-            "beta     3.0000       123456789.0000  0.5000     0.2500      0.3125     "
-            "  3.5625            1.7500            203.57          \n"
-            "average  1.8750       61728394.7500   0.3750     0.1875      0.1875     "
-            "  2.2500                                              \n"
-            "note: consensus_s covers vote exchange and tally of one n=3 in-process round;"
-            " overhead_percent = proposed_total_s / reference_exec_s * 100\n"
+            "label    sign_ms     round_ms  total_ms    reference_exec_s  overhead_percent\n"
+            + "-" * 77 + "\n"
+            "alpha    0.250       0.500     0.750                                         \n"
+            "beta     123456.500  0.250     123456.750  1562.5000         7.90            \n"
+            "average  61728.375   0.375     61728.750                                     \n"
+            "note: median of 5 runs; sign_ms = load + peel + sign, round_ms = one clean n=3"
+            " in-process round; overhead_percent = total_ms / 1000 / reference_exec_s * 100\n"
         )
         assert csv_path.read_bytes() == (
-            b"label,profiling_s,cfg_to_msa_s,hashing_s,matching_s,consensus_s,"
-            b"proposed_total_s,reference_exec_s,overhead_percent\r\n"
-            b"alpha,0.7500,0.5000,0.2500,0.1250,0.0625,0.9375,,\r\n"
-            b"beta,3.0000,123456789.0000,0.5000,0.2500,0.3125,3.5625,1.7500,203.57\r\n"
-            b"average,1.8750,61728394.7500,0.3750,0.1875,0.1875,2.2500,,\r\n"
+            b"label,sign_ms,round_ms,total_ms,reference_exec_s,overhead_percent\r\n"
+            b"alpha,0.250,0.500,0.750,,\r\n"
+            b"beta,123456.500,0.250,123456.750,1562.5000,7.90\r\n"
+            b"average,61728.375,0.375,61728.750,,\r\n"
         )
 
     def test_non_numeric_reference_exit_1(self, capsys, tmp_path, fixtures_dir):
@@ -340,6 +323,20 @@ class TestBench:
     def test_empty_corpus_exit_5(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "bench", str(tmp_path))
         assert code == 5
+
+    @pytest.mark.parametrize("name", ["missing", "diamond.dot"])
+    def test_corpus_not_a_directory_exit_1(self, capsys, corpus, name):
+        code, out, err = run_cli(capsys, "bench", str(corpus / name))
+        assert code == 1 and out == ""
+        assert err == f"error: corpus {corpus / name} is not a directory\n"
+
+    def test_shared_label_exit_1(self, capsys, monkeypatch, tmp_path, fixtures_dir):
+        for name in ("diamond.dot", "diamond.graphml", "loopback.dot"):
+            (tmp_path / name).write_bytes((fixtures_dir / name).read_bytes())
+        monkeypatch.setattr(cli, "_bench_fixture", raising(AssertionError("a fixture was timed")))
+        code, out, err = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err == "error: diamond.dot and diamond.graphml share the label 'diamond'\n"
 
     def test_non_ascii_fixture_name_exit_1(self, monkeypatch, tmp_path, fixtures_dir):
         (tmp_path / f"{NON_ASCII_STEM}.dot").write_bytes((fixtures_dir / "diamond.dot").read_bytes())
