@@ -142,7 +142,7 @@ def validate_cfg(g: ControlFlowGraph) -> ValidationReport:
     Dangling endpoints need no check: the ControlFlowGraph constructor
     already rejects them.
     """
-    loops = sorted(src for src, dst in g.edges if src == dst)
+    loops = sorted(src for src, _ in g.edges.intersection(zip(g.nodes, g.nodes)))
     violations = [Violation("SelfLoop", node) for node in loops]
     for node in sorted(g.nodes.difference(g.bfs_parents)):
         violations.append(Violation("UnreachableNode", node))

@@ -451,7 +451,7 @@ def run_cluster_scenario(config: ClusterConfig, scenario: Scenario) -> RoundResu
                 try:
                     transport.send(receiver, frame_bytes)
                 except TransportError as exc:
-                    transcript.append(f"{line} error={exc}")
+                    transcript.append(f"{line} {detail}error={exc}")
                     continue
                 transcript.append(f"{line} {detail}hex={frame_bytes.hex()}")
 

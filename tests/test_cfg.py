@@ -742,6 +742,8 @@ class TestValidate:
         assert set(g.bfs_parents) == seen
         assert reachable_from(g.entry, g.edges) == seen
         assert all(parent is None or (parent, node) in g.edges for node, parent in g.bfs_parents.items())
+        loops = sorted(src for src, dst in g.edges if src == dst)  # drawn from pairs that include (a, a)
+        assert [v.subject for v in validate_cfg(g).violations if v.kind == "SelfLoop"] == loops
 
 
 class TestCachedTraversal:

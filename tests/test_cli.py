@@ -52,6 +52,8 @@ class TestUsage:
             ["--alg", "SHA256", "simulate", "s.scn"],
             ["--cipher", "XorStream", "--key", "9", "simulate", "s.scn"],
             ["oracle", "diamond.dot"],
+            ["bench", "corpus", "--cipher", "XorStream"],  # bench's round has one fixed cipher and key
+            ["bench", "corpus", "--key", "9"],
         ],
     )
     def test_usage_error_exit_1(self, capsys, argv):
@@ -64,8 +66,6 @@ class TestUsage:
         [
             (["--alg", "SHA256", "simulate", "s.scn"], "--alg belongs after 'sign' or 'bench'"),
             (["--alg=SHA256", "sign", "g.dot"], "--alg belongs after 'sign' or 'bench'"),
-            (["--cipher", "XorStream", "--key", "9", "simulate", "s.scn"], "--cipher belongs after 'bench'"),
-            (["--key", "9", "bench", "corpus"], "--key belongs after 'bench'"),
         ],
     )
     def test_misplaced_option_names_its_subcommand(self, capsys, argv, message):
@@ -242,8 +242,9 @@ class TestBench:
             assert min(sign_ms, round_ms, total) > 0  # every timing is a measurement, none reads 0.000
             assert total == pytest.approx(sign_ms + round_ms, abs=2e-3)  # three cells rounded to .3f
             if row["reference_exec_s"]:
+                # three significant digits (.3g) of a ratio whose total_ms cell is rounded to .3f
                 assert float(row["overhead_percent"]) == pytest.approx(
-                    total / 1000 / float(row["reference_exec_s"]) * 100, abs=0.05
+                    total / 1000 / float(row["reference_exec_s"]) * 100, rel=5e-3 + 5e-4 / total
                 )
         assert [row["label"] for row in rows if row["overhead_percent"]] == ["pentomino", "wordmean"]
         assert rows[0]["reference_exec_s"] == ""  # labels sorted; aggregate* first
@@ -271,17 +272,31 @@ class TestBench:
             "label    sign_ms     round_ms  total_ms    reference_exec_s  overhead_percent\n"
             + "-" * 77 + "\n"
             "alpha    0.250       0.500     0.750                                         \n"
-            "beta     123456.500  0.250     123456.750  1562.5000         7.90            \n"
+            "beta     123456.500  0.250     123456.750  1562.5000         7.9             \n"
             "average  61728.375   0.375     61728.750                                     \n"
             "note: median of 5 runs; sign_ms = load + peel + sign, round_ms = one clean n=3"
-            " in-process round; overhead_percent = total_ms / 1000 / reference_exec_s * 100\n"
+            " in-process round (ShiftByte, key 7); overhead_percent = total_ms / 1000 / reference_exec_s * 100\n"
         )
         assert csv_path.read_bytes() == (
             b"label,sign_ms,round_ms,total_ms,reference_exec_s,overhead_percent\r\n"
             b"alpha,0.250,0.500,0.750,,\r\n"
-            b"beta,123456.500,0.250,123456.750,1562.5000,7.90\r\n"
+            b"beta,123456.500,0.250,123456.750,1562.5000,7.9\r\n"
             b"average,61728.375,0.375,61728.750,,\r\n"
         )
+
+    def test_long_job_overhead_reads_above_zero(self, capsys, monkeypatch, tmp_path, fixtures_dir):
+        # The paper measured long jobs: 0.75 ms on a 100 s job is a small overhead, but not zero.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "alpha.dot").write_bytes((fixtures_dir / "diamond.dot").read_bytes())
+        refs = tmp_path / "refs.txt"
+        refs.write_text("alpha=100\n")
+        csv_path = tmp_path / "report.csv"
+        monkeypatch.setattr(cli, "_bench_fixture", lambda path, *rest: dict(self.LAYOUT_ROWS[path.stem]))
+        code, _, _ = run_cli(capsys, "bench", str(corpus), "--reference", str(refs), "--csv", str(csv_path))
+        assert code == 0
+        with open(csv_path) as fh:
+            assert [row["overhead_percent"] for row in csv.DictReader(fh)] == ["0.00075", "0.00075"]
 
     def test_non_numeric_reference_exit_1(self, capsys, tmp_path, fixtures_dir):
         refs = tmp_path / "refs.txt"
@@ -311,14 +326,6 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(tmp_path))
         assert code == 1
         assert err.startswith("error: unreachable.dot: invalid CFG")
-
-    @pytest.mark.parametrize(
-        "argv", [["--key", "0"], ["--key", "300"], ["--cipher", "XorStream", "--key", "-1"]]
-    )
-    def test_bad_key_exit_1(self, capsys, fixtures_dir, argv):
-        code, out, err = run_cli(capsys, "bench", str(fixtures_dir / "bench"), *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("error: --key: ") and ".dot" not in err
 
     def test_empty_corpus_exit_5(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "bench", str(tmp_path))

@@ -486,9 +486,13 @@ class TestSocketTransport:
         result = run_cluster_scenario(ClusterConfig(n=3, transport="socket"), Scenario("diamond", diamond))
         assert time.monotonic() - start < 1.0
         errors = [l for l in result.transcript if " error=" in l]
+        # No envelope arrived, so each vote frame's detail is an empty vote list.
         assert errors == [
-            f"frame phase={phase} from={s} to={r} error=frame to peer {r} not delivered: timed out"
-            for phase in ("signature", "vote") for s in range(3) for r in range(3) if r != s
+            f"frame phase={phase} from={s} to={r} {detail}error=frame to peer {r} not delivered: timed out"
+            for phase, detail in (("signature", ""), ("vote", "votes= "))
+            for s in range(3)
+            for r in range(3)
+            if r != s
         ]
         assert result.transcript[-1] == "verdict INCONCLUSIVE"  # no node checked any peer
 
@@ -649,6 +653,22 @@ class TestDroppedFrames:
         ]
         assert result.rounds_per_node[1].verdict.kind == "Inconclusive"  # node 1 checked no peer
         assert result.consensus.verdict.kind == "Clean"
+
+    def test_failed_vote_frames_keep_their_votes(self, monkeypatch, diamond):
+        # Node 0's own votes decide its fail-safe; the transcript must hold them even when no peer hears them.
+        original = InProcessTransport.send
+
+        def send(self, receiver, frame_bytes):
+            frame = decode_frame(frame_bytes)
+            if frame.msg_type == MSG_VOTE and frame.sender == 0:
+                raise TransportError("peer unreachable")
+            original(self, receiver, frame_bytes)
+
+        monkeypatch.setattr(InProcessTransport, "send", send)
+        result = run_cluster_scenario(ClusterConfig(n=3), Scenario("diamond", diamond))
+        assert [l for l in result.transcript if " error=" in l] == [
+            f"frame phase=vote from=0 to={r} votes=1:Match,2:Match error=peer unreachable" for r in (1, 2)
+        ]
 
     def test_round_that_loses_every_frame_is_inconclusive(self, monkeypatch, diamond):
         # An intrusion detector that hears from no peer cannot report a clean cluster.
