@@ -23,8 +23,8 @@ from .errors import (
     CfsigError,
     DuplicateEdgeError,
     GraphSyntaxError,
+    InvalidGraphError,
     InvalidMutationError,
-    ProducesInvalidGraphError,
     UnknownEntryError,
 )
 
@@ -156,6 +156,20 @@ def prune_unreachable(g: ControlFlowGraph) -> ControlFlowGraph:
     return ControlFlowGraph(keep, edges, g.entry)
 
 
+def check_cfg(g: ControlFlowGraph, prune: bool = False) -> ControlFlowGraph:
+    """*g* if it is a valid CFG, else raise InvalidGraphError naming every violation.
+
+    With *prune*, a graph whose only violations are unreachable blocks comes
+    back without them.
+    """
+    report = validate_cfg(g)
+    if report.ok:
+        return g
+    if prune and all(v.kind == "UnreachableNode" for v in report.violations):
+        return prune_unreachable(g)
+    raise InvalidGraphError("invalid CFG: " + ", ".join(str(v) for v in report.violations))
+
+
 def read_utf8(path: Path) -> str:
     """The text of *path* decoded as UTF-8, whatever the locale.
 
@@ -170,11 +184,10 @@ def read_utf8(path: Path) -> str:
 
 
 def load_graph(path: str | Path, prune: bool = False) -> ControlFlowGraph:
-    """Read a ``.dot`` or ``.graphml`` file and return it as a valid CFG.
+    """Read a ``.dot`` or ``.graphml`` file and return it as :func:`check_cfg` does.
 
-    With *prune*, a graph whose only violations are unreachable blocks comes
-    back without them. Raises OSError when the file cannot be read and
-    CfsigError for any other suffix, a parse error or an invalid graph.
+    Raises OSError when the file cannot be read and CfsigError for any other
+    suffix, a parse error or an invalid graph.
     """
     path = Path(path)
     if path.suffix == ".dot":
@@ -183,13 +196,7 @@ def load_graph(path: str | Path, prune: bool = False) -> ControlFlowGraph:
         parse = parse_graphml
     else:
         raise CfsigError(f"unsupported input extension {path.suffix!r}")
-    graph = parse(read_utf8(path))
-    report = validate_cfg(graph)
-    if not report.ok:
-        if prune and all(v.kind == "UnreachableNode" for v in report.violations):
-            return prune_unreachable(graph)
-        raise CfsigError("invalid CFG: " + ", ".join(str(v) for v in report.violations))
-    return graph
+    return check_cfg(parse(read_utf8(path)), prune)
 
 
 def _parsed_graph(nodes: AbstractSet[BlockId], edges: AbstractSet[Edge], marked: list[BlockId]) -> ControlFlowGraph:
@@ -539,9 +546,9 @@ def mutate(g: ControlFlowGraph, m: Mutation, prune: bool = False) -> ControlFlow
     """Apply a tamper mutation, returning a new valid graph.
 
     Raises InvalidMutationError when operands are missing from the graph or
-    a swap names one block twice, and ProducesInvalidGraphError when the
-    result would fail validation. With ``prune=True`` an unreachable
-    remainder is pruned instead of rejected.
+    a swap names one block twice, and InvalidGraphError, as :func:`check_cfg`
+    does, when the result is not a valid CFG. With ``prune=True`` an
+    unreachable remainder is pruned instead of rejected.
     """
     nodes = set(g.nodes)
     edges = set(g.edges)
@@ -579,23 +586,12 @@ def mutate(g: ControlFlowGraph, m: Mutation, prune: bool = False) -> ControlFlow
         swap = {a: b, b: a}
         edges = {(swap.get(s, s), swap.get(d, d)) for s, d in edges}
         entry = swap.get(entry, entry)
-    elif kind is MutationKind.REMOVE_NODE:
+    else:  # MutationKind.REMOVE_NODE
         (node,) = m.operands
         if node not in nodes:
             raise InvalidMutationError(f"node {node} not present")
         if node == entry:
-            raise ProducesInvalidGraphError("cannot remove the entry node")
+            raise InvalidGraphError("cannot remove the entry node")
         nodes.remove(node)
         edges = {(s, d) for s, d in edges if s != node and d != node}
-    else:  # pragma: no cover - exhaustive enum
-        raise InvalidMutationError(f"unhandled mutation kind {kind}")
-
-    result = ControlFlowGraph(frozenset(nodes), frozenset(edges), entry)
-    report = validate_cfg(result)
-    if report.ok:
-        return result
-    if prune and all(v.kind == "UnreachableNode" for v in report.violations):
-        return prune_unreachable(result)
-    raise ProducesInvalidGraphError(
-        "mutation breaks validity: " + ", ".join(str(v) for v in report.violations)
-    )
+    return check_cfg(ControlFlowGraph(frozenset(nodes), frozenset(edges), entry), prune)

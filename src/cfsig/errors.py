@@ -30,8 +30,8 @@ class InvalidMutationError(CfsigError):
     """Mutation operands do not refer to existing graph elements."""
 
 
-class ProducesInvalidGraphError(CfsigError):
-    """Applying the mutation would break graph validity."""
+class InvalidGraphError(CfsigError):
+    """A graph is not a valid CFG: a block is unreachable from the entry or loops on itself."""
 
 
 class InvalidKeyError(CfsigError):

@@ -1,9 +1,8 @@
 """Boolean similarity check between two process signatures.
 
 Two signatures match only when their digest sets are identical (same
-algorithm, same size, same members). A sorted-merge walk replaces naive
-pairwise search; the verdict is unchanged and the comparison count stays
-within s1 + s2 instead of the quadratic worst case.
+algorithm, same size, same members). Each side's digests are sorted, so one
+walk over the two lists in step finds the first digest one side lacks.
 """
 
 from __future__ import annotations
@@ -28,43 +27,34 @@ class DetailKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MatchVerdict:
-    outcome: Outcome
     detail: DetailKind
     digest: str | None = None  # set for MISSING_DIGEST
     missing_from: str | None = None  # "local" or "remote"
 
+    @property
+    def outcome(self) -> Outcome:
+        return Outcome.MATCH if self.detail is DetailKind.EQUAL else Outcome.MISMATCH
+
     def __str__(self) -> str:
-        if self.detail is DetailKind.MISSING_DIGEST:
-            return (
-                f"{self.outcome.value.upper()} MissingDigest "
-                f"digest={self.digest} missing_from={self.missing_from}"
-            )
-        if self.outcome is Outcome.MATCH:
+        if self.detail is DetailKind.EQUAL:
             return "MATCH"
+        if self.detail is DetailKind.MISSING_DIGEST:
+            return f"MISMATCH MissingDigest digest={self.digest} missing_from={self.missing_from}"
         return f"MISMATCH {self.detail.value}"
 
 
 def _compare(local: ProcessSignature, remote: ProcessSignature) -> tuple[MatchVerdict, int]:
     if local.algorithm is not remote.algorithm:
-        return MatchVerdict(Outcome.MISMATCH, DetailKind.ALGORITHM_DIFFER), 0
+        return MatchVerdict(DetailKind.ALGORITHM_DIFFER), 0
     if len(local.digests) != len(remote.digests):
-        return MatchVerdict(Outcome.MISMATCH, DetailKind.SIZE_DIFFER), 0
-    comparisons = 0
-    for a, b in zip(local.digests, remote.digests):
-        comparisons += 1
+        return MatchVerdict(DetailKind.SIZE_DIFFER), 0
+    for comparisons, (a, b) in enumerate(zip(local.digests, remote.digests), 1):
         if a != b:
             # sorted lists of equal length: the smaller digest is absent
             # from the other side
-            if a < b:
-                verdict = MatchVerdict(
-                    Outcome.MISMATCH, DetailKind.MISSING_DIGEST, a, "remote"
-                )
-            else:
-                verdict = MatchVerdict(
-                    Outcome.MISMATCH, DetailKind.MISSING_DIGEST, b, "local"
-                )
-            return verdict, comparisons
-    return MatchVerdict(Outcome.MATCH, DetailKind.EQUAL), comparisons
+            missing = (a, "remote") if a < b else (b, "local")
+            return MatchVerdict(DetailKind.MISSING_DIGEST, *missing), comparisons
+    return MatchVerdict(DetailKind.EQUAL), len(local.digests)
 
 
 def match_signatures(local: ProcessSignature, remote: ProcessSignature) -> MatchVerdict:

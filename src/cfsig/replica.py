@@ -26,9 +26,10 @@ from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
-# parse_dot, parse_graphml and serialize_dot are unused here, but perfbench's
-# traced run patches them on this module.
-from .cfg import ControlFlowGraph, Mutation, load_graph, mutate, parse_dot, parse_graphml, read_utf8, serialize_dot, validate_cfg
+from .cfg import ControlFlowGraph, Mutation, check_cfg, load_graph, mutate, read_utf8
+# parse_dot, parse_graphml, serialize_dot and validate_cfg are unused here, but
+# perfbench's traced run patches them on this module.
+from .cfg import parse_dot, parse_graphml, serialize_dot, validate_cfg
 from .arborescence import peel_edge_disjoint
 from .errors import CfsigError, InvalidKeyError, MalformedPlaintextError, ScenarioError, TransportError
 from .matcher import Outcome, match_signatures
@@ -325,11 +326,9 @@ class Scenario:
     def __post_init__(self) -> None:
         try:
             check_label(self.process_label)
-        except MalformedPlaintextError as exc:
+            check_cfg(self.graph)
+        except CfsigError as exc:
             raise ScenarioError(str(exc)) from exc
-        report = validate_cfg(self.graph)
-        if not report.ok:
-            raise ScenarioError("invalid CFG: " + ", ".join(str(v) for v in report.violations))
         if self.tamper is not None:
             if self.tamper[0] == self.dead:  # a dead node signs nothing, so its tamper would go unseen
                 raise ScenarioError(f"tamper node {self.dead} is the dead node")
@@ -348,6 +347,9 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
     ``alg`` (any case), ``cipher``, ``key`` (it must suit the cipher),
     ``dead=<node>``. Each key appears at most once.
     """
+    config_keys = {  # each key that sets a ClusterConfig field -> (the field, the reader of the key's text)
+        "alg": ("algorithm", lambda text: HashAlgorithm(text.upper())), "cipher": ("cipher", Cipher), "key": ("key", int)
+    }
     path = Path(path)
     fields: dict[str, str] = {}
     try:
@@ -366,7 +368,7 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
             raise ScenarioError(f"repeated scenario key {key!r}")
         fields[key] = value.strip()
 
-    unknown = set(fields) - {"n", "fixture", "tamper", "alg", "cipher", "key", "dead"}
+    unknown = set(fields) - {"n", "fixture", "tamper", "dead", *config_keys}
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     try:
@@ -397,12 +399,7 @@ def parse_scenario_file(path: str | Path) -> tuple[ClusterConfig, Scenario]:
 
     try:
         dead = int(fields["dead"]) if "dead" in fields else None
-        config = ClusterConfig(
-            n=n,
-            algorithm=HashAlgorithm(fields.get("alg", "MD5").upper()),
-            cipher=Cipher(fields.get("cipher", "ShiftByte")),
-            key=int(fields.get("key", "7")),
-        )
+        config = ClusterConfig(n, **{name: read(fields[k]) for k, (name, read) in config_keys.items() if k in fields})
     except ValueError as exc:
         raise ScenarioError(f"bad scenario value: {exc}") from exc
     return config, Scenario(fixture_path.stem, graph, tamper, dead)

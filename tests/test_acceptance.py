@@ -221,9 +221,15 @@ def test_overhead_report_shape(tmp_path, capsys):
         sign_ms, round_ms, total = (float(row[c]) for c in ("sign_ms", "round_ms", "total_ms"))
         assert min(sign_ms, round_ms, total) > 0
         assert total == pytest.approx(sign_ms + round_ms, abs=2e-3)  # three cells rounded to .3f
-        assert float(row["overhead_percent"]) == pytest.approx(
-            total / 1000 / float(row["reference_exec_s"]) * 100, abs=0.05
-        )
+    overheads = [float(row["overhead_percent"]) for row in rows]
+    for row, overhead in zip(rows[:-1], overheads):
+        total = float(row["total_ms"])
+        # three significant digits (.3g) of a ratio whose total_ms cell is rounded to .3f
+        assert overhead == pytest.approx(
+            total / 1000 / float(row["reference_exec_s"]) * 100, rel=5e-3 + 5e-4 / total
+        ), row["label"]
+    # the average of the rows' ratios, each cell rounded to .3g
+    assert overheads[-1] == pytest.approx(sum(overheads[:-1]) / 16, rel=1e-2)
     report(
         "overhead report shape: 16-row Table-style report, arithmetic invariants hold;"
         f" {rows[-1]['total_ms']} ms per job on average"

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from cfsig import (
     ControlFlowGraph,
     Mutation,
+    Scenario,
     arborescence,
     cfg,
+    load_graph,
     mutate,
     parse_dot,
     parse_graphml,
@@ -33,12 +35,13 @@ from cfsig.errors import (
     CfsigError,
     DuplicateEdgeError,
     GraphSyntaxError,
+    InvalidGraphError,
     InvalidMutationError,
-    ProducesInvalidGraphError,
+    ScenarioError,
     UnknownEntryError,
 )
 
-from .conftest import DOT_ALPHABET, dot_texts, fixture_graphs, generate_synthetic, reachable_from, serialize_graphml
+from .conftest import DOT_ALPHABET, UNREACHABLE_DOT, dot_texts, fixture_graphs, generate_synthetic, reachable_from, serialize_graphml
 
 DIAMOND = "digraph g { B1 -> B2; B1 -> B3; B2 -> B4; B3 -> B4; }"
 
@@ -772,7 +775,7 @@ class TestCachedTraversal:
                     continue
                 try:
                     tampered = mutate(g, Mutation.parse(f"RemoveEdge:{src}>{dst}"))
-                except ProducesInvalidGraphError:
+                except InvalidGraphError:
                     continue
                 assert tampered.bfs_parents[dst] != src, (name, src, dst)
                 assert set(tampered.bfs_parents) == g.nodes, (name, src, dst)
@@ -846,7 +849,7 @@ class TestMutate:
         assert validate_cfg(g).ok  # B4 still reachable through B2
 
     def test_remove_entry_rejected(self, diamond):
-        with pytest.raises(ProducesInvalidGraphError):
+        with pytest.raises(InvalidGraphError):
             mutate(diamond, Mutation.parse("RemoveNode:B1"))
 
     def test_input_unchanged(self, diamond):
@@ -878,10 +881,27 @@ class TestMutate:
     def test_disconnect_rejected_unless_pruned(self):
         g = parse_dot("digraph g { B1 -> B2; B2 -> B3; }")
         m = Mutation.parse("RemoveEdge:B2>B3")
-        with pytest.raises(ProducesInvalidGraphError):
+        with pytest.raises(InvalidGraphError):
             mutate(g, m)
         pruned = mutate(g, m, prune=True)
         assert pruned.nodes == {"B1", "B2"}
+
+    def test_one_rejection_for_an_unreachable_block(self, tmp_path):
+        """Loading, tampering and a round's scenario reject the same graph in the same words."""
+        path = tmp_path / "unreachable.dot"
+        path.write_text(UNREACHABLE_DOT)  # B1 -> B2, and B3 on its own
+        chain = parse_dot("digraph g { B1 -> B2; B2 -> B3; }")
+        rejections = []
+        for reject in (
+            lambda: load_graph(path),
+            lambda: mutate(chain, Mutation.parse("RemoveEdge:B2>B3")),
+            lambda: Scenario("unreachable", parse_dot(UNREACHABLE_DOT)),
+        ):
+            with pytest.raises(CfsigError) as exc:
+                reject()
+            rejections.append((type(exc.value), str(exc.value)))
+        message = "invalid CFG: UnreachableNode(B3)"
+        assert rejections == [(InvalidGraphError, message), (InvalidGraphError, message), (ScenarioError, message)]
 
     def test_swap_and_redirect(self, diamond):
         swapped = mutate(diamond, Mutation.parse("SwapNodeIds:B2,B3"))

@@ -205,6 +205,8 @@ class TestSimulate:
             "n=3\nfixture=diamond.dot\ndead=3\n",
             "n=3\nfixture=diamond.dot\ntamper=1:RemoveEdge:B4>B1\n",
             "n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n",
+            "n=3\nfixture=diamond.dot\ntamper=x:RemoveEdge:B2>B4\n",
+            "n=3\nfixture=diamond.dot\ntamper=1:Frobnicate:B1\n",
             "n=3\nfixture=unreachable.dot\n",
             "n=3\nfixture=diamond.dot\nkey=0\n",
             "n=3\nfixture=diamond.dot\nkey=300\n",

@@ -724,6 +724,10 @@ class TestScenarioFiles:
         ("n=3\nfixture=diamond.dot\ndead=x\n", "bad scenario value: invalid literal for int() with base 10: 'x'"),
         ("n=3\nfixture=diamond.dot\ntamper=1:RemoveEdge:B4>B1\n", "bad tamper spec: edge B4>B1 not present"),
         ("n=3\nfixture=diamond.dot\ntamper=1:RemoveNode:B1\n", "bad tamper spec: cannot remove the entry node"),
+        ("n=3\nfixture=diamond.dot\ntamper=x:RemoveEdge:B2>B4\n",
+         "bad tamper spec: invalid literal for int() with base 10: 'x'"),
+        ("n=3\nfixture=diamond.dot\ntamper=1:Frobnicate:B1\n",
+         "bad tamper spec: unknown mutation kind in 'Frobnicate:B1'"),
         ("n=3\nfixture=unreachable.dot\n", "bad fixture unreachable.dot: invalid CFG: UnreachableNode(B3)"),
         ("n=3\nfixture=diamond.txt\n", "bad fixture diamond.txt: unsupported input extension '.txt'"),
         ("n=3\nfixture=diamond.dot\nkey=0\n", "ShiftByte key must be in 1..255, got 0"),
