@@ -9,7 +9,7 @@ selection.
 
 from __future__ import annotations
 
-from .cfg import ControlFlowGraph, Edge, bfs_tree
+from .cfg import ControlFlowGraph, Edge, _declared_graph, bfs_tree
 
 
 def find_arborescence(
@@ -28,7 +28,7 @@ def find_arborescence(
     if len(parents) != len(g.nodes):
         return None
     edges = frozenset((src, dst) for dst, src in parents.items() if src is not None)
-    return ControlFlowGraph(g.nodes, edges, g.entry)
+    return _declared_graph(g.nodes, edges, g.entry)  # g's nodes and some of its edges
 
 
 def peel_edge_disjoint(g: ControlFlowGraph) -> tuple[ControlFlowGraph, ...]:

@@ -77,8 +77,10 @@ def bfs_tree(g: ControlFlowGraph, available: frozenset[Edge] | None = None) -> d
     layer = [g.entry]
     while layer:
         found = []
-        for src in sorted(layer):
-            for dst in succ.get(src, ()):
+        if len(layer) > 1:  # a deep CFG has about V one-block layers
+            layer.sort()
+        for src in layer:
+            for dst in succ[src]:
                 if dst not in parents and (available is None or (src, dst) in available):
                     parents[dst] = src
                     found.append(dst)
@@ -106,16 +108,23 @@ class ControlFlowGraph:
     # Computed once per graph value; equality and hashing see only the fields.
     @functools.cached_property
     def successors(self) -> dict[BlockId, list[BlockId]]:
-        """Map each source block to its destinations."""
-        succ: dict[BlockId, list[BlockId]] = {}
+        """Map every block to its destinations."""
+        succ: dict[BlockId, list[BlockId]] = {node: [] for node in self.nodes}
         for src, dst in self.edges:
-            succ.setdefault(src, []).append(dst)
+            succ[src].append(dst)
         return succ
 
     @functools.cached_property
     def bfs_parents(self) -> dict[BlockId, BlockId | None]:
         """The BFS tree over every edge, as :func:`bfs_tree` gives it."""
         return bfs_tree(self)
+
+
+def _declared_graph(nodes: AbstractSet[BlockId], edges: AbstractSet[Edge], entry: BlockId) -> ControlFlowGraph:
+    """The graph, unchecked: the caller has made sure that *entry* and every endpoint are in *nodes*."""
+    g = object.__new__(ControlFlowGraph)
+    vars(g).update(nodes=frozenset(nodes), edges=frozenset(edges), entry=entry)
+    return g
 
 
 @dataclass(frozen=True)
@@ -139,8 +148,8 @@ class ValidationReport:
 def validate_cfg(g: ControlFlowGraph) -> ValidationReport:
     """Check reachability from entry and absence of self-loops.
 
-    Dangling endpoints need no check: the ControlFlowGraph constructor
-    already rejects them.
+    Dangling endpoints need no check: every graph has its endpoints checked
+    where it is built.
     """
     loops = sorted(src for src, _ in g.edges.intersection(zip(g.nodes, g.nodes)))
     violations = [Violation("SelfLoop", node) for node in loops]
@@ -203,7 +212,9 @@ def _parsed_graph(nodes: AbstractSet[BlockId], edges: AbstractSet[Edge], marked:
     """The graph a parser read; raises unless it has nodes and one entry.
 
     The entry is the block marked as entry or, with none marked, the one block
-    that no edge from another block enters (a self-loop does not count).
+    that no edge from another block enters (a self-loop does not count). The
+    parser has already checked that every endpoint and marked block is in
+    *nodes*.
     """
     if not nodes:
         raise GraphSyntaxError("graph has no nodes")
@@ -215,7 +226,7 @@ def _parsed_graph(nodes: AbstractSet[BlockId], edges: AbstractSet[Edge], marked:
         raise UnknownEntryError("no entry marker and no node with in-degree 0")
     if len(candidates) > 1:
         raise UnknownEntryError(f"no entry marker and multiple in-degree-0 candidates: {candidates}")
-    return ControlFlowGraph(nodes, edges, candidates[0])
+    return _declared_graph(nodes, edges, candidates[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +271,10 @@ def _syntax_error(message: str, text: str, offset: int) -> GraphSyntaxError:
 # other token is an id that check_block_id accepts.
 _DOT_NOT_ID = frozenset(_DOT_SPECIALS) | {"->", ""}
 
+# The forbidden characters that _tokenize_dot leaves inside tokens, but for
+# the two of "->".
+_DOT_LEFT_IN_TOKENS = "".join(sorted(_FORBIDDEN_ID_CHARS - set(_DOT_SPECIALS) - set("->")))
+
 
 def _tokenize_dot(text: str) -> list[str]:
     """Split DOT text into tokens, skipping whitespace and comments.
@@ -270,11 +285,15 @@ def _tokenize_dot(text: str) -> list[str]:
     character, an unclosed "/*" or a lone "/" leaves a token that is not an
     id, and the first such token holds the error where its id prefix ends.
     """
-    spaced = _blank_comments(text).replace("->", " -> ")
+    blanked = _blank_comments(text)
+    spaced = blanked.replace("->", " -> ")
+    arrows = (len(spaced) - len(blanked)) // 2  # each "->" gained two spaces
     for special in _DOT_SPECIALS:
         spaced = spaced.replace(special, f" {special} ")
     tokens = spaced.split()
-    if _all_block_ids(set(tokens) - _DOT_NOT_ID):
+    # The specials are split out, so the tokens are ids exactly when no other
+    # forbidden character is left in the text and each "-" and ">" is in a "->".
+    if not any(map(blanked.__contains__, _DOT_LEFT_IN_TOKENS)) and blanked.count("-") == arrows == blanked.count(">"):
         tokens.append("")
         return tokens
     k, tok = next((k, tok) for k, tok in enumerate(tokens) if tok not in _DOT_NOT_ID and not _BLOCK_ID.fullmatch(tok))
@@ -332,9 +351,10 @@ def parse_dot(text: str) -> ControlFlowGraph:
             if second in _DOT_NOT_ID:
                 raise unexpected(i + 2)
             nodes.add(second)
-            if (first, second) in edges:
+            edge = (first, second)
+            if edge in edges:
                 raise DuplicateEdgeError(f"duplicate edge {first} -> {second}")
-            edges.add((first, second))
+            edges.add(edge)
             i += 3
         elif op == "[":
             for k, expected in enumerate((None, "=", None, "]"), i + 2):
@@ -402,6 +422,9 @@ def _graph_in_bulk(
     nodes, edges = frozenset(ids), frozenset(pairs)
     if len(nodes) < len(ids) or len(edges) < len(pairs) or not _all_block_ids(ids):
         return None
+    for src, dst in pairs:  # an undeclared endpoint
+        if src not in nodes or dst not in nodes:
+            return None
     if not {None, "true"}.issuperset(map(dict.get, edge_attribs, repeat("directed"))):  # None: absent
         return None
     marked = [el.get("id") for el in filter(len, node_els) if marks_entry(el)]

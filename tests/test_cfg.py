@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
+from contextlib import nullcontext
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from cfsig import (
     Scenario,
     arborescence,
     cfg,
+    find_arborescence,
     load_graph,
     mutate,
     parse_dot,
@@ -425,6 +428,10 @@ class TestParseDot:
                 "digraph g {\u3000B1 -> ;\u3000}",
                 "expected identifier, found ';'", 1, 19,
             ),
+            # Each "-" and ">" outside a "->", and each '"', fails the tokenizer's character counts.
+            ("digraph g { B1 > B2; }", "unexpected character '>'", 1, 16),
+            ("digraph g {\n  B1 ->> B2; }", "unexpected character '>'", 2, 8),
+            ('digraph g {\n  B"1 -> B2; }', "unexpected character '\"'", 2, 4),
         ],
     )
     def test_syntax_error_exact_positions(self, text, message, line, col):
@@ -749,17 +756,26 @@ class TestValidate:
         assert [v.subject for v in validate_cfg(g).violations if v.kind == "SelfLoop"] == loops
 
 
+def assert_as_if_checked(g: ControlFlowGraph, name: str = "") -> None:
+    """*g*, which may have been built without the constructor's check, is the
+    checked graph of its fields as a value and as a dict key."""
+    fresh = ControlFlowGraph(g.nodes, g.edges, g.entry)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh), name
+    assert {g: name}[fresh] == name
+
+
 class TestCachedTraversal:
     """Each graph value builds its successor index and BFS tree at most once,
     and the cache is invisible to equality, hashing and mutation."""
 
-    def test_cache_leaves_value_semantics(self):
-        for name, g in fixture_graphs():
-            fresh = ControlFlowGraph(g.nodes, g.edges, g.entry)
-            assert validate_cfg(g).ok and len(peel_edge_disjoint(g)) == 1, name
+    def test_cache_leaves_value_semantics(self, fixtures_dir):
+        for path in sorted(fixtures_dir.rglob("*.dot")):
+            name, g = path.stem, parse_dot(path.read_text())
+            trees = peel_edge_disjoint(g)
+            assert validate_cfg(g).ok and len(trees) == 1, name
             assert {"successors", "bfs_parents"} <= set(vars(g)), name
-            assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh), name
-            assert {g: name}[fresh] == name
+            for h in (g, parse_graphml(serialize_graphml(g)), *trees):
+                assert_as_if_checked(h, name)
 
     def test_mutate_returns_a_graph_with_its_own_cache(self, diamond):
         assert diamond.bfs_parents == {"B1": None, "B2": "B1", "B3": "B1", "B4": "B2"}
@@ -797,6 +813,47 @@ class TestCachedTraversal:
             assert len(peel_edge_disjoint(g)) == 1
             assert prune_unreachable(g) == g
             assert len(full) == 1 and full[0] is g, name
+
+
+def synthetic_texts(serialize):
+    """Valid graphs of up to 12 blocks as *serialize* writes them, whole or
+    with one line deleted: a deleted GraphML node line leaves edges to an
+    undeclared block."""
+    graphs = st.builds(generate_synthetic, st.integers(1, 12), st.floats(0.0, 0.4), st.integers(0, 2**32))
+
+    def delete_line(text: str, k: int) -> str:
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[:k] + lines[k + 1:])
+
+    return st.builds(delete_line, graphs.map(serialize), st.integers(0, 40))
+
+
+class TestTrustBoundary:
+    """A parser and find_arborescence build graphs without the constructor's
+    check, because they have already made it; every such graph must still
+    pass it."""
+
+    @given(
+        st.tuples(st.just(parse_dot), dot_texts | synthetic_texts(serialize_dot))
+        | st.tuples(st.just(parse_graphml), graphml_texts() | synthetic_texts(serialize_graphml)),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_trust_boundary_graphs_pass_the_constructor_check(self, parse_text, element_loop, data):
+        # With element_loop, GraphML skips its bulk path. The first peeled
+        # tree is find_arborescence over every edge, the rest over fewer.
+        parse, text = parse_text
+        with mock.patch.object(cfg, "_graph_in_bulk", return_value=None) if element_loop else nullcontext():
+            try:
+                g = parse(text)
+            except CfsigError:
+                return
+        assert_as_if_checked(g)
+        available = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.edges))))) if g.edges else None
+        trees = [*peel_edge_disjoint(g), find_arborescence(g, available)]
+        for tree in filter(None, trees):
+            assert_as_if_checked(tree)
 
 
 class TestRoundTrip:
